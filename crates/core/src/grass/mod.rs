@@ -8,11 +8,9 @@
 
 pub mod reference;
 mod samples;
-mod sketch;
 mod switching;
 
-pub use samples::{BoundKind, FactorSet, QueryContext, Sample, SampleStore, StoreSnapshot};
-pub use sketch::QuantileSketch;
+pub use samples::{BoundKind, FactorSet, QueryContext, Sample, SampleStore};
 pub use switching::{
     learned_decision, learned_decision_cached, strawman_decision, strawman_decision_cached,
     LearnedParams, StrawmanConfig, SwitchDecision, SwitchScanCache, SwitchStrategy,

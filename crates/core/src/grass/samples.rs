@@ -27,26 +27,21 @@
 //! across partition fronts), reproducing the historical FIFO exactly — but as an O(1)
 //! `VecDeque::pop_front` instead of an O(cap) front drain.
 //!
-//! On top of the exact partitions the store always maintains a **sketched layer**:
+//! A store built with [`SampleStore::sketched`] keeps a **sketched layer** instead:
 //! per-partition binned aggregates keyed by size bucket × coarse bound / utilisation /
-//! accuracy bins, each bin holding `(count, Σw, Σw·rate)`, plus a mergeable
-//! [`QuantileSketch`] of observed rates. A store built with
-//! [`SampleStore::sketched`] answers predictions *from the bins* — O(bins) per query
-//! and O(1) memory per partition regardless of job count — while the default exact
-//! store uses the sketch layer only for snapshots, merging and rate percentiles.
-//! [`SampleStore::snapshot`] / [`SampleStore::merge`] exchange the sketched layer
-//! between stores (e.g. fleet workers), never raw samples; see
+//! accuracy bins, each bin holding `(Σw, Σw·rate)`, plus a lifetime observation count.
+//! It answers predictions *from the bins* — O(bins) per query and O(1) memory per
+//! partition regardless of job count. Each layer maintains only the state it reads:
+//! exact stores keep no bins, sketched stores keep no raw samples. See
 //! `docs/sample-store.md` for the full contract.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::bins::SizeBucket;
-use crate::grass::sketch::{floor_log2, pow2, QuantileSketch};
 use crate::job::Bound;
 use crate::outcome::JobOutcome;
 use crate::speculation::SpeculationMode;
@@ -271,19 +266,24 @@ fn par_idx(mode: SpeculationMode, kind: BoundKind) -> usize {
     kind_idx(kind) * 2 + mode_idx(mode)
 }
 
-/// Inverse of [`par_idx`], used when walking every partition by index.
-fn par_mode_kind(idx: usize) -> (SpeculationMode, BoundKind) {
-    let kind = if idx / 2 == 0 {
-        BoundKind::Deadline
+/// `floor(log2(x))` for finite positive `x`, read straight off the exponent bits so
+/// the result is exact and identical on every platform (no libm rounding).
+fn floor_log2(x: f64) -> i32 {
+    debug_assert!(x > 0.0 && x.is_finite());
+    let bits = x.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i32;
+    if exp == 0 {
+        // Subnormal: below 2^-1022, far under the bound-bin floor; clamp hard.
+        -1075
     } else {
-        BoundKind::Error
-    };
-    let mode = if idx.is_multiple_of(2) {
-        SpeculationMode::Gs
-    } else {
-        SpeculationMode::Ras
-    };
-    (mode, kind)
+        exp - 1023
+    }
+}
+
+/// Exact power of two `2^e` built from the exponent bits (for `e` in normal range).
+fn pow2(e: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&e));
+    f64::from_bits(((e + 1023) as u64) << 52)
 }
 
 /// Sentinel bound bin for non-positive / non-finite bound values, which the exact
@@ -337,12 +337,11 @@ impl BinKey {
     }
 }
 
-/// Aggregates of one sketched-layer bin: `(count, Σw, Σw·rate)` over the samples
-/// that landed in it, where `w` is each sample's kernel weight against its own bin's
+/// Aggregates of one sketched-layer bin: `(Σw, Σw·rate)` over the samples that
+/// landed in it, where `w` is each sample's kernel weight against its own bin's
 /// centres (its "self weight").
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default)]
 struct BinAgg {
-    count: u64,
     w_sum: f64,
     wr_sum: f64,
 }
@@ -380,28 +379,24 @@ fn query_weight(key: &BinKey, ctx: &QueryContext, factors: FactorSet) -> f64 {
     q
 }
 
-/// One `(BoundKind, SpeculationMode)` partition: the exact FIFO of retained samples
-/// (empty in sketched stores) plus the sketched layer — binned aggregates, a rate
-/// quantile sketch and a lifetime observation count (never decremented; sketches are
-/// eviction-free).
+/// One `(BoundKind, SpeculationMode)` partition. Exact stores fill only the FIFO of
+/// retained samples; sketched stores fill only the binned aggregates and the lifetime
+/// observation count (never decremented; bins are eviction-free).
 #[derive(Debug, Clone, Default)]
 struct Partition {
     fifo: VecDeque<(u64, Sample)>,
     bins: BTreeMap<BinKey, BinAgg>,
-    rates: QuantileSketch,
     lifetime: u64,
 }
 
 impl Partition {
-    fn absorb(&mut self, sample: &Sample) {
+    /// Fold a sample into the sketched layer.
+    fn fold(&mut self, sample: &Sample) {
         let key = BinKey::of(sample);
-        let rate = sample.rate();
         let w = self_weight(sample, key);
         let agg = self.bins.entry(key).or_default();
-        agg.count += 1;
         agg.w_sum += w;
-        agg.wr_sum += w * rate;
-        self.rates.insert(rate);
+        agg.wr_sum += w * sample.rate();
         self.lifetime += 1;
     }
 }
@@ -485,7 +480,7 @@ impl SampleStore {
 
     /// Empty *sketched* store: raw samples are not retained at all — predictions are
     /// answered from the O(1)-memory binned aggregates, and counts report lifetime
-    /// observations (including merged-in ones) rather than retained samples.
+    /// observations rather than retained samples.
     pub fn sketched() -> Self {
         SampleStore::with_layer(DEFAULT_MAX_SAMPLES, StoreLayer::Sketched)
     }
@@ -524,26 +519,28 @@ impl SampleStore {
     }
 
     /// Mutation counter: bumped once per [`record`](Self::record) /
-    /// [`clear`](Self::clear) / [`merge`](Self::merge). Two equal generations mean
-    /// the store content (and hence any `StoreCounts` snapshot) is unchanged between
-    /// the two reads.
+    /// [`clear`](Self::clear). Two equal generations mean the store content (and
+    /// hence any `StoreCounts` snapshot) is unchanged between the two reads.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Record a raw sample.
+    /// Record a raw sample: exact stores append it to its partition's ring (evicting
+    /// the globally oldest at the cap); sketched stores fold it into the bins.
     pub fn record(&self, sample: Sample) {
         let mut guard = self.inner.write();
         let idx = par_idx(sample.mode, sample.kind);
-        guard.parts[idx].absorb(&sample);
-        if self.layer == StoreLayer::Exact {
-            while guard.retained >= self.max_samples {
-                guard.evict_oldest();
+        match self.layer {
+            StoreLayer::Exact => {
+                while guard.retained >= self.max_samples {
+                    guard.evict_oldest();
+                }
+                let seq = guard.next_seq;
+                guard.next_seq += 1;
+                guard.parts[idx].fifo.push_back((seq, sample));
+                guard.retained += 1;
             }
-            let seq = guard.next_seq;
-            guard.next_seq += 1;
-            guard.parts[idx].fifo.push_back((seq, sample));
-            guard.retained += 1;
+            StoreLayer::Sketched => guard.parts[idx].fold(&sample),
         }
         self.generation.fetch_add(1, Ordering::Release);
     }
@@ -706,7 +703,7 @@ impl SampleStore {
         Some(tasks / rate)
     }
 
-    /// Drop every stored sample (both layers).
+    /// Drop every stored sample.
     pub fn clear(&self) {
         let mut guard = self.inner.write();
         *guard = Inner::default();
@@ -724,54 +721,10 @@ impl SampleStore {
     }
 
     /// Total number of occupied sketched-layer bins across all partitions — the
-    /// quantity that stays bounded while job count grows without limit.
+    /// quantity that stays bounded while job count grows without limit. Always 0 for
+    /// exact stores, which keep no bins.
     pub fn sketch_bins(&self) -> usize {
         self.inner.read().parts.iter().map(|p| p.bins.len()).sum()
-    }
-
-    /// Approximate `q`-quantile of the task-completion rates ever observed for
-    /// `(mode, kind)` (within a factor of 2; see [`QuantileSketch`]). Available on
-    /// both layers; `None` if the partition has no observations.
-    pub fn rate_quantile(&self, mode: SpeculationMode, kind: BoundKind, q: f64) -> Option<f64> {
-        self.inner.read().parts[par_idx(mode, kind)]
-            .rates
-            .quantile(q)
-    }
-
-    /// Snapshot of the sketched layer (binned aggregates + rate sketches + lifetime
-    /// counts) for exchange with other stores. Never contains raw samples; its
-    /// encoded form is canonical (deterministic bin order, bit-exact floats).
-    pub fn snapshot(&self) -> StoreSnapshot {
-        let guard = self.inner.read();
-        let mut snap = StoreSnapshot::default();
-        for (idx, part) in guard.parts.iter().enumerate() {
-            snap.parts[idx] = PartSnapshot {
-                lifetime: part.lifetime,
-                rates: part.rates.clone(),
-                bins: part.bins.clone(),
-            };
-        }
-        snap
-    }
-
-    /// Fold a peer's snapshot into this store's *sketched layer*. Exact stores keep
-    /// their retained samples (and therefore their exact predictions and pinned
-    /// digests) untouched — the merged state shows up in snapshots, rate quantiles
-    /// and, on sketched stores, in counts and predictions.
-    pub fn merge(&self, snapshot: &StoreSnapshot) {
-        let mut guard = self.inner.write();
-        for (idx, peer) in snapshot.parts.iter().enumerate() {
-            let part = &mut guard.parts[idx];
-            part.lifetime += peer.lifetime;
-            part.rates.merge(&peer.rates);
-            for (key, agg) in &peer.bins {
-                let mine = part.bins.entry(*key).or_default();
-                mine.count += agg.count;
-                mine.w_sum += agg.w_sum;
-                mine.wr_sum += agg.wr_sum;
-            }
-        }
-        self.generation.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -781,199 +734,6 @@ fn log_ratio(a: f64, b: f64) -> f64 {
         return f64::INFINITY;
     }
     (a / b).log2().abs()
-}
-
-/// Sketched layer of one partition, as carried by a [`StoreSnapshot`].
-#[derive(Debug, Clone, Default, PartialEq)]
-struct PartSnapshot {
-    lifetime: u64,
-    rates: QuantileSketch,
-    bins: BTreeMap<BinKey, BinAgg>,
-}
-
-/// Portable, mergeable snapshot of a store's sketched layer.
-///
-/// The wire form (see [`encode`](Self::encode) / [`decode`](Self::decode)) is
-/// line-oriented text with floats carried as hexadecimal IEEE-754 bit patterns, so a
-/// round trip is bit-exact and two equal snapshots always encode to identical bytes.
-/// Merging is exactly commutative; counts and sketches merge exactly associatively,
-/// while the `Σw` / `Σw·rate` float sums are associative only up to rounding (IEEE
-/// addition is commutative but not associative).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StoreSnapshot {
-    parts: [PartSnapshot; NUM_PARTITIONS],
-}
-
-impl StoreSnapshot {
-    /// Total lifetime observations across every partition.
-    pub fn total_samples(&self) -> u64 {
-        self.parts.iter().map(|p| p.lifetime).sum()
-    }
-
-    /// Whether the snapshot carries no observations.
-    pub fn is_empty(&self) -> bool {
-        self.total_samples() == 0
-    }
-
-    /// Fold another snapshot into this one (same semantics as
-    /// [`SampleStore::merge`]).
-    pub fn merge(&mut self, other: &StoreSnapshot) {
-        for (mine, theirs) in self.parts.iter_mut().zip(other.parts.iter()) {
-            mine.lifetime += theirs.lifetime;
-            mine.rates.merge(&theirs.rates);
-            for (key, agg) in &theirs.bins {
-                let slot = mine.bins.entry(*key).or_default();
-                slot.count += agg.count;
-                slot.w_sum += agg.w_sum;
-                slot.wr_sum += agg.wr_sum;
-            }
-        }
-    }
-
-    /// Canonical text encoding. Partitions appear in index order, bins in `BinKey`
-    /// order, sketch buckets ascending; empty partitions are omitted.
-    pub fn encode(&self) -> String {
-        let mut out = String::from("storesnap v1\n");
-        for (idx, part) in self.parts.iter().enumerate() {
-            if part.lifetime == 0 && part.bins.is_empty() && part.rates.is_empty() {
-                continue;
-            }
-            let (mode, kind) = par_mode_kind(idx);
-            let _ = write!(
-                out,
-                "part idx={idx} kind={} mode={} lifetime={}",
-                match kind {
-                    BoundKind::Deadline => "deadline",
-                    BoundKind::Error => "error",
-                },
-                match mode {
-                    SpeculationMode::Gs => "gs",
-                    SpeculationMode::Ras => "ras",
-                },
-                part.lifetime
-            );
-            let buckets: Vec<String> = part
-                .rates
-                .entries()
-                .map(|(b, c)| format!("{b}:{c}"))
-                .collect();
-            if !buckets.is_empty() {
-                let _ = write!(out, " sketch={}", buckets.join(","));
-            }
-            out.push('\n');
-            for (key, agg) in &part.bins {
-                let _ = writeln!(
-                    out,
-                    "bin part={idx} size={} bound={} util={} acc={} count={} w={:016x} wr={:016x}",
-                    key.size,
-                    key.bound,
-                    key.util,
-                    key.acc,
-                    agg.count,
-                    agg.w_sum.to_bits(),
-                    agg.wr_sum.to_bits(),
-                );
-            }
-        }
-        out
-    }
-
-    /// Strict inverse of [`encode`](Self::encode).
-    pub fn decode(text: &str) -> Result<StoreSnapshot, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("storesnap v1") => {}
-            other => return Err(format!("bad snapshot header: {other:?}")),
-        }
-        let mut snap = StoreSnapshot::default();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut fields = line.split_whitespace();
-            match fields.next() {
-                Some("part") => {
-                    let mut idx: Option<usize> = None;
-                    let mut lifetime: Option<u64> = None;
-                    let mut sketch: Option<&str> = None;
-                    for field in fields {
-                        let (k, v) = field
-                            .split_once('=')
-                            .ok_or_else(|| format!("bad part field '{field}'"))?;
-                        match k {
-                            "idx" => idx = Some(parse_num(v, "part idx")?),
-                            "lifetime" => lifetime = Some(parse_num(v, "part lifetime")?),
-                            "sketch" => sketch = Some(v),
-                            "kind" | "mode" => {} // informational; idx is authoritative
-                            other => return Err(format!("unknown part field '{other}'")),
-                        }
-                    }
-                    let idx = idx.ok_or("part line missing idx")?;
-                    if idx >= NUM_PARTITIONS {
-                        return Err(format!("part idx {idx} out of range"));
-                    }
-                    let part = &mut snap.parts[idx];
-                    part.lifetime = lifetime.ok_or("part line missing lifetime")?;
-                    if let Some(spec) = sketch {
-                        for entry in spec.split(',') {
-                            let (b, c) = entry
-                                .split_once(':')
-                                .ok_or_else(|| format!("bad sketch entry '{entry}'"))?;
-                            let bucket: usize = parse_num(b, "sketch bucket")?;
-                            let count: u64 = parse_num(c, "sketch count")?;
-                            part.rates.add_bucket(bucket, count);
-                        }
-                    }
-                }
-                Some("bin") => {
-                    let mut idx: Option<usize> = None;
-                    let mut key = BinKey {
-                        size: 0,
-                        bound: 0,
-                        util: 0,
-                        acc: 0,
-                    };
-                    let mut agg = BinAgg::default();
-                    for field in fields {
-                        let (k, v) = field
-                            .split_once('=')
-                            .ok_or_else(|| format!("bad bin field '{field}'"))?;
-                        match k {
-                            "part" => idx = Some(parse_num(v, "bin part")?),
-                            "size" => key.size = parse_num(v, "bin size")?,
-                            "bound" => key.bound = parse_num(v, "bin bound")?,
-                            "util" => key.util = parse_num(v, "bin util")?,
-                            "acc" => key.acc = parse_num(v, "bin acc")?,
-                            "count" => agg.count = parse_num(v, "bin count")?,
-                            "w" => agg.w_sum = parse_hex_f64(v, "bin w")?,
-                            "wr" => agg.wr_sum = parse_hex_f64(v, "bin wr")?,
-                            other => return Err(format!("unknown bin field '{other}'")),
-                        }
-                    }
-                    let idx = idx.ok_or("bin line missing part")?;
-                    if idx >= NUM_PARTITIONS {
-                        return Err(format!("bin part {idx} out of range"));
-                    }
-                    snap.parts[idx].bins.insert(key, agg);
-                }
-                Some(other) => return Err(format!("unknown snapshot line '{other}'")),
-                None => {}
-            }
-        }
-        Ok(snap)
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("bad {what} value '{value}'"))
-}
-
-fn parse_hex_f64(value: &str, what: &str) -> Result<f64, String> {
-    u64::from_str_radix(value, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("bad {what} value '{value}'"))
 }
 
 #[cfg(test)]
@@ -1048,6 +808,8 @@ mod tests {
         ));
         store.record(sample(SpeculationMode::Gs, BoundKind::Error, 30.0, 15.0));
         assert_eq!(store.len(), 3);
+        // The exact layer keeps only its rings: no sketched bins behind them.
+        assert_eq!(store.sketch_bins(), 0);
         assert_eq!(store.count_for(SpeculationMode::Gs, BoundKind::Deadline), 1);
         assert_eq!(
             store.count_for(SpeculationMode::Ras, BoundKind::Deadline),
@@ -1364,69 +1126,18 @@ mod tests {
             "bins should stay coarse, got {}",
             store.sketch_bins()
         );
-        assert!(store
-            .rate_quantile(SpeculationMode::Gs, BoundKind::Deadline, 0.5)
-            .is_some());
     }
 
     #[test]
-    fn snapshot_round_trips_bit_exactly() {
-        let store = SampleStore::new();
-        for i in 0..25 {
-            let (mode, kind) = if i % 3 == 0 {
-                (SpeculationMode::Ras, BoundKind::Error)
-            } else {
-                (SpeculationMode::Gs, BoundKind::Deadline)
-            };
-            store.record(sample(mode, kind, 3.0 + i as f64, 11.0 + i as f64));
+    fn floor_log2_matches_definition_on_powers_and_neighbours() {
+        for e in -30..30 {
+            let p = pow2(e);
+            assert_eq!(floor_log2(p), e, "2^{e}");
+            assert_eq!(floor_log2(p * 1.5), e, "1.5·2^{e}");
+            assert_eq!(floor_log2(p * 1.999), e, "1.999·2^{e}");
         }
-        let snap = store.snapshot();
-        let encoded = snap.encode();
-        let decoded = StoreSnapshot::decode(&encoded).unwrap();
-        assert_eq!(decoded, snap);
-        assert_eq!(decoded.encode(), encoded);
-        assert_eq!(snap.total_samples(), 25);
-
-        // Empty snapshot is a bare header.
-        let empty = SampleStore::new().snapshot();
-        assert!(empty.is_empty());
-        assert_eq!(empty.encode(), "storesnap v1\n");
-        assert_eq!(StoreSnapshot::decode("storesnap v1\n").unwrap(), empty);
-        assert!(StoreSnapshot::decode("nonsense").is_err());
-    }
-
-    #[test]
-    fn merge_folds_peer_state_into_the_sketched_layer() {
-        let a = SampleStore::sketched();
-        let b = SampleStore::sketched();
-        for _ in 0..3 {
-            a.record(sample(SpeculationMode::Gs, BoundKind::Deadline, 10.0, 20.0));
-            b.record(sample(SpeculationMode::Gs, BoundKind::Deadline, 10.0, 30.0));
-        }
-        let g_before = a.generation();
-        a.merge(&b.snapshot());
-        assert!(a.generation() > g_before);
-        assert_eq!(a.count_for(SpeculationMode::Gs, BoundKind::Deadline), 6);
-        let c = ctx(BoundKind::Deadline, 10.0);
-        let rate = a
-            .predict_rate(SpeculationMode::Gs, &c, FactorSet::all(), 1)
-            .unwrap();
-        // 3 samples at 2 tasks/s + 3 at 3 tasks/s => strictly between.
-        assert!(rate > 2.0 && rate < 3.0, "merged rate {rate}");
-
-        // Merging into an exact store leaves exact predictions untouched.
-        let exact = SampleStore::new();
-        exact.record(sample(SpeculationMode::Gs, BoundKind::Deadline, 10.0, 20.0));
-        let before = exact
-            .predict_rate(SpeculationMode::Gs, &c, FactorSet::all(), 1)
-            .unwrap();
-        exact.merge(&b.snapshot());
-        let after = exact
-            .predict_rate(SpeculationMode::Gs, &c, FactorSet::all(), 1)
-            .unwrap();
-        assert_eq!(before.to_bits(), after.to_bits());
-        assert_eq!(exact.count_for(SpeculationMode::Gs, BoundKind::Deadline), 1);
-        // ...but the merged observations are visible in the snapshot it re-exports.
-        assert_eq!(exact.snapshot().total_samples(), 4);
+        assert_eq!(floor_log2(1.0), 0);
+        assert_eq!(floor_log2(0.5), -1);
+        assert_eq!(floor_log2(3.0), 1);
     }
 }

@@ -28,11 +28,9 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use grass_core::{Bound, JobId, JobOutcome, SampleStore, SpeculationMode, StoreSnapshot};
+use grass_core::{Bound, JobId, JobOutcome};
 use grass_fleet::broker::serve_broker_on;
-use grass_fleet::{
-    run_fleet, run_worker, CellRunner, DigestCache, FleetConfig, FleetOutcome, SYNC_SEPARATOR,
-};
+use grass_fleet::{run_fleet, run_worker, CellRunner, DigestCache, FleetConfig, FleetOutcome};
 use grass_metrics::OutcomeSet;
 use grass_sim::ClusterConfig;
 use grass_trace::codec::{escape, unescape};
@@ -500,24 +498,13 @@ impl FleetPlan {
 /// `repro fleet work`. Opened traces are cached per path and the streamed
 /// source is shared: no per-worker in-memory copy of the workload.
 ///
-/// Alongside the cells, the runner accumulates a **sketched** [`SampleStore`]
-/// of every pure-GS / pure-RAS job outcome its cells produce, and exchanges
-/// that store with the other workers through the broker's `sync` frames
-/// ([`CellRunner::snapshot`] / [`CellRunner::absorb`]). The exchange is
-/// observability-only for sweep digests: cells rebuild their own warmed stores
-/// from the trace, so merged fleet state never leaks into pinned outcomes.
+/// The runner keeps no learned state between cells: each cell warms its own
+/// sample store from the trace, exactly as `run_sweep` does in-process.
 pub struct SweepCellRunner {
     stall_ms: u64,
     mmap: bool,
     // grass: allow(unordered-iter-on-digest-path, "keyed lookup only; cells fetch their own trace by path")
     sources: Mutex<HashMap<PathBuf, StreamedWorkload>>,
-    /// This worker's own observations — the snapshot it offers the fleet.
-    learned: SampleStore,
-    /// Latest merged view of the *other* workers' snapshots. Replaced (not
-    /// accumulated) on every sync: the broker's board always carries each
-    /// peer's complete current state, so replacing avoids double-counting
-    /// across repeated exchanges.
-    peers: Mutex<StoreSnapshot>,
 }
 
 impl SweepCellRunner {
@@ -534,8 +521,6 @@ impl SweepCellRunner {
             mmap: false,
             // grass: allow(unordered-iter-on-digest-path, "keyed lookup only; cells fetch their own trace by path")
             sources: Mutex::new(HashMap::new()),
-            learned: SampleStore::sketched(),
-            peers: Mutex::new(StoreSnapshot::default()),
         }
     }
 
@@ -544,19 +529,6 @@ impl SweepCellRunner {
     pub fn with_mmap(mut self, mmap: bool) -> SweepCellRunner {
         self.mmap = mmap;
         self
-    }
-
-    /// The sketched store of learned GS/RAS rates from this runner's own cells.
-    pub fn learned_store(&self) -> &SampleStore {
-        &self.learned
-    }
-
-    /// Fleet-wide learned state: this worker's own snapshot merged with the
-    /// latest snapshots absorbed from every peer.
-    pub fn fleet_view(&self) -> StoreSnapshot {
-        let mut view = self.learned.snapshot();
-        view.merge(&self.peers.lock().unwrap());
-        view
     }
 
     fn source_for(&self, path: &Path) -> Result<StreamedWorkload, String> {
@@ -598,32 +570,7 @@ impl CellRunner for SweepCellRunner {
             ..ExpConfig::full()
         };
         let set = run_sweep_cell(&source, &base, parsed.machines, &parsed.policy, parsed.seed);
-        // Feed the learned store from jobs that ran a pure mode throughout:
-        // GS/RAS cells entirely, plus the ξ-perturbed sample jobs inside GRASS
-        // cells (both report the algorithm they actually ran as their policy).
-        for outcome in set.all() {
-            match outcome.policy.as_str() {
-                "GS" => self.learned.record_outcome(SpeculationMode::Gs, outcome),
-                "RAS" => self.learned.record_outcome(SpeculationMode::Ras, outcome),
-                _ => {}
-            }
-        }
         Ok(encode_cell_outcomes(&set))
-    }
-
-    fn snapshot(&self) -> Option<String> {
-        Some(self.learned.snapshot().encode())
-    }
-
-    fn absorb(&self, snapshots: &str) {
-        let mut merged = StoreSnapshot::default();
-        for part in snapshots.split(SYNC_SEPARATOR) {
-            match StoreSnapshot::decode(part) {
-                Ok(snap) => merged.merge(&snap),
-                Err(reason) => eprintln!("fleet sync: ignoring malformed peer snapshot: {reason}"),
-            }
-        }
-        *self.peers.lock().unwrap() = merged;
     }
 }
 
@@ -895,8 +842,8 @@ fn fleet_work_command(args: &[String]) -> Result<(), String> {
     eprintln!("fleet worker {id} connecting to {addr}");
     let report = run_worker(addr, id, &runner).map_err(|e| e.to_string())?;
     eprintln!(
-        "fleet worker {id} done: completed={} failed={} stale={} syncs={}",
-        report.completed, report.failed, report.stale, report.syncs
+        "fleet worker {id} done: completed={} failed={} stale={}",
+        report.completed, report.failed, report.stale
     );
     Ok(())
 }
@@ -961,7 +908,7 @@ fn finish_fleet(
     let stats = outcome.stats;
     eprintln!(
         "fleet cells={} cached={} ran={} dispatched={} expired_leases={} crash_releases={} \
-         failed_reports={} stale_completes={} sync_exchanges={} elapsed={elapsed:.2?}",
+         failed_reports={} stale_completes={} elapsed={elapsed:.2?}",
         plan.cells.len(),
         stats.cached,
         stats.completed,
@@ -970,7 +917,6 @@ fn finish_fleet(
         stats.crash_releases,
         stats.failed_reports,
         stats.stale_completes,
-        stats.sync_exchanges,
     );
     print!("{}", result.digest());
     Ok(())

@@ -287,9 +287,6 @@ fn apply_request(state: &mut GridState, shared: &Shared, request: &Request) -> O
             state.fail(worker, *cell, *lease, now_ms);
             Some(Response::Ok)
         }
-        Request::Sync { worker, payload } => Some(Response::State {
-            payload: state.sync(worker, payload.clone()),
-        }),
         Request::Bye { .. } => Some(Response::Ok),
     }
 }
@@ -305,6 +302,7 @@ mod tests {
     use super::*;
     use crate::worker::run_worker;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::{Barrier, Once};
 
     #[test]
     fn broker_with_thread_workers_collects_grid_order_results() {
@@ -313,10 +311,19 @@ mod tests {
         let handle = serve_broker(specs, cached, FleetConfig::test_profile()).unwrap();
         let addr = handle.addr();
 
+        // Each worker holds its first cell until the other holds one too. Without
+        // this, one worker can finish the whole grid before the other connects,
+        // and the late worker then finds the listener closed.
+        let both_started = Arc::new(Barrier::new(2));
         let workers: Vec<_> = (0..2)
             .map(|w| {
+                let both_started = Arc::clone(&both_started);
                 thread::spawn(move || {
+                    let first = Once::new();
                     run_worker(addr, &format!("w{w}"), &|cell: usize, spec: &str| {
+                        first.call_once(|| {
+                            both_started.wait();
+                        });
                         Ok(format!("cell={cell} spec={spec}"))
                     })
                 })

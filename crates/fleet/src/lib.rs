@@ -34,7 +34,10 @@
 //!
 //! Line-oriented `tag key=value ...` frames over TCP, percent-escaped with the
 //! `grass-trace` codec helpers — no generic serialization (the workspace serde
-//! is a no-op shim). See [`protocol`] for the full message set.
+//! is a no-op shim). See [`protocol`] for the full message set. The wire carries
+//! cell specs and result payloads only: workers share no learned state with the
+//! broker or with each other, so a fleet run is the same computation as an
+//! in-process sweep, cell by cell.
 
 pub mod broker;
 pub mod cache;
@@ -49,7 +52,7 @@ pub use broker::{serve_broker, BrokerHandle, FleetOutcome, FleetSnapshot};
 pub use cache::{fnv1a64, DigestCache};
 pub use config::FleetConfig;
 pub use lease::{Lease, LeaseTable};
-pub use protocol::{Request, Response, PROTOCOL_VERSION, SYNC_SEPARATOR};
+pub use protocol::{Request, Response, PROTOCOL_VERSION};
 pub use spawn::{run_fleet, FleetRunReport};
 pub use state::{CellStatus, Claim, Completion, FleetStats, GridState};
 pub use worker::{run_worker, CellRunner, WorkerReport};

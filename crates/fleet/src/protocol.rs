@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! -> hello worker=w1
-//! <- welcome version=1 cells=12
+//! <- welcome version=3 cells=12
 //! -> claim worker=w1
 //! <- grant cell=3 attempt=1 lease=7 heartbeat_ms=1000 spec=<escaped>
 //! <- wait ms=25                 (nothing claimable right now)
@@ -17,8 +17,6 @@
 //! <- ok | stale
 //! -> fail worker=w1 cell=3 lease=7 error=<escaped>
 //! <- ok
-//! -> sync worker=w1 payload=<escaped>        (offer learned state, get peers')
-//! <- state payload=<escaped>
 //! -> bye worker=w1
 //! <- ok
 //! ```
@@ -27,13 +25,8 @@ use grass_trace::codec::{escape, unescape};
 
 /// Protocol version carried in `welcome`; workers refuse a mismatch.
 /// Version history: 1 = initial broker/worker protocol; 2 = added the
-/// `sync`/`state` learned-state exchange frames.
-pub const PROTOCOL_VERSION: u32 = 2;
-
-/// Separator between individual peer snapshots inside a `state` payload. Chosen as
-/// an ASCII control character that never appears in snapshot encodings (which are
-/// printable text), and that `split_whitespace` does not treat as whitespace.
-pub const SYNC_SEPARATOR: char = '\x1f';
+/// `sync`/`state` learned-state exchange frames; 3 = removed them again.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Frames a worker sends to the broker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,9 +51,6 @@ pub enum Request {
         lease: u64,
         error: String,
     },
-    /// Offer this worker's learned-state snapshot to the fleet; answered by
-    /// [`Response::State`] carrying the other workers' snapshots.
-    Sync { worker: String, payload: String },
     /// Clean shutdown: the broker must not treat the disconnect as a crash.
     Bye { worker: String },
 }
@@ -81,11 +71,6 @@ pub enum Response {
     },
     Wait {
         ms: u64,
-    },
-    /// Answer to [`Request::Sync`]: every *other* worker's most recent snapshot,
-    /// joined with [`SYNC_SEPARATOR`] (empty when no peer has synced yet).
-    State {
-        payload: String,
     },
     Finished,
     Ok,
@@ -124,9 +109,6 @@ impl Request {
                 escape(worker),
                 escape(error)
             ),
-            Request::Sync { worker, payload } => {
-                format!("sync worker={} payload={}", escape(worker), escape(payload))
-            }
             Request::Bye { worker } => format!("bye worker={}", escape(worker)),
         }
     }
@@ -157,10 +139,6 @@ impl Request {
                 lease: frame.number("lease")?,
                 error: frame.text("error")?,
             }),
-            "sync" => Ok(Request::Sync {
-                worker: frame.text("worker")?,
-                payload: frame.text("payload")?,
-            }),
             "bye" => Ok(Request::Bye {
                 worker: frame.text("worker")?,
             }),
@@ -176,7 +154,6 @@ impl Request {
             | Request::Heartbeat { worker, .. }
             | Request::Complete { worker, .. }
             | Request::Fail { worker, .. }
-            | Request::Sync { worker, .. }
             | Request::Bye { worker } => worker,
         }
     }
@@ -200,7 +177,6 @@ impl Response {
                 escape(spec)
             ),
             Response::Wait { ms } => format!("wait ms={ms}"),
-            Response::State { payload } => format!("state payload={}", escape(payload)),
             Response::Finished => "finished".to_string(),
             Response::Ok => "ok".to_string(),
             Response::Stale => "stale".to_string(),
@@ -225,9 +201,6 @@ impl Response {
             }),
             "wait" => Ok(Response::Wait {
                 ms: frame.number("ms")?,
-            }),
-            "state" => Ok(Response::State {
-                payload: frame.text("payload")?,
             }),
             "finished" => Ok(Response::Finished),
             "ok" => Ok(Response::Ok),
@@ -306,10 +279,6 @@ mod tests {
                 lease: 1,
                 error: "boom: café".into(),
             },
-            Request::Sync {
-                worker: "w".into(),
-                payload: "storesnap v1\npart idx=0 lifetime=3".into(),
-            },
             Request::Bye { worker: "w".into() },
         ];
         for req in cases {
@@ -334,12 +303,6 @@ mod tests {
                 spec: "machines=50 policy=grass trace=/tmp/a b.trace".into(),
             },
             Response::Wait { ms: 25 },
-            Response::State {
-                payload: format!("snap one{SYNC_SEPARATOR}snap two\nwith a second line"),
-            },
-            Response::State {
-                payload: String::new(),
-            },
             Response::Finished,
             Response::Ok,
             Response::Stale,
@@ -362,5 +325,7 @@ mod tests {
         assert!(Request::parse("heartbeat worker=w cell=notanumber").is_err());
         assert!(Response::parse("grant cell=1").is_err());
         assert!(Request::parse("complete worker w").is_err());
+        assert!(Request::parse("sync worker=w payload=x").is_err());
+        assert!(Response::parse("state payload=x").is_err());
     }
 }

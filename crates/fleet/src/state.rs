@@ -5,8 +5,6 @@
 //! TCP broker wraps it in a mutex and feeds it wall-clock time, the property
 //! tests feed it a synthetic clock and arbitrary event interleavings.
 
-use std::collections::BTreeMap;
-
 use crate::config::FleetConfig;
 use crate::lease::LeaseTable;
 use rand::rngs::StdRng;
@@ -75,7 +73,8 @@ pub struct FleetStats {
     pub stale_completes: u64,
     /// Cells that ran out of retries.
     pub exhausted: u64,
-    /// `sync` exchanges served (workers posting a learned-state snapshot).
+    /// Always 0: protocol v3 has no learned-state exchange to count. The field
+    /// stays only because the repository benchmark (`perfbench/`) still reads it.
     pub sync_exchanges: u64,
 }
 
@@ -97,9 +96,6 @@ pub struct GridState {
     config: FleetConfig,
     jitter: StdRng,
     stats: FleetStats,
-    /// Latest learned-state snapshot posted by each worker via `sync`.
-    /// `BTreeMap` so the peer payload handed back is deterministically ordered.
-    sync_board: BTreeMap<String, String>,
 }
 
 impl GridState {
@@ -118,7 +114,6 @@ impl GridState {
             config,
             jitter,
             stats: FleetStats::default(),
-            sync_board: BTreeMap::new(),
         }
     }
 
@@ -319,25 +314,6 @@ impl GridState {
     pub fn active_leases(&self) -> Vec<(usize, String)> {
         self.leases.entries()
     }
-
-    /// A worker posts its learned-state snapshot and receives every *other*
-    /// worker's most recent snapshot, joined with
-    /// [`SYNC_SEPARATOR`](crate::protocol::SYNC_SEPARATOR) in worker-name order
-    /// (deterministic). An empty payload leaves the worker's previous snapshot —
-    /// if any — on the board.
-    pub fn sync(&mut self, worker: &str, payload: String) -> String {
-        if !payload.is_empty() {
-            self.sync_board.insert(worker.to_string(), payload);
-        }
-        self.stats.sync_exchanges += 1;
-        let peers: Vec<&str> = self
-            .sync_board
-            .iter()
-            .filter(|(name, _)| name.as_str() != worker)
-            .map(|(_, snap)| snap.as_str())
-            .collect();
-        peers.join(&crate::protocol::SYNC_SEPARATOR.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -520,29 +496,5 @@ mod tests {
             Completion::Stale
         );
         assert_eq!(state.results().unwrap(), vec!["first"]);
-    }
-
-    #[test]
-    fn sync_board_returns_peers_in_deterministic_order() {
-        let mut state = test_state(1);
-        // First syncer sees no peers.
-        assert_eq!(state.sync("w2", "snap-two".into()), "");
-        // A second worker sees the first's snapshot; names order the board.
-        assert_eq!(state.sync("w1", "snap-one".into()), "snap-two");
-        let sep = crate::protocol::SYNC_SEPARATOR;
-        assert_eq!(
-            state.sync("w3", "snap-three".into()),
-            format!("snap-one{sep}snap-two")
-        );
-        // Re-sync replaces the worker's own entry; empty payload keeps it.
-        assert_eq!(
-            state.sync("w2", "snap-two-b".into()),
-            format!("snap-one{sep}snap-three")
-        );
-        assert_eq!(
-            state.sync("w1", String::new()),
-            format!("snap-two-b{sep}snap-three")
-        );
-        assert_eq!(state.stats().sync_exchanges, 5);
     }
 }

@@ -18,15 +18,14 @@ use std::time::Duration;
 pub trait CellRunner: Sync {
     fn run(&self, cell: usize, spec: &str) -> Result<String, String>;
 
-    /// Learned-state snapshot to offer the fleet after each accepted completion.
-    /// `None` (the default) disables the sync exchange entirely.
+    /// Never called: protocol v3 has no learned-state exchange. Kept as a provided
+    /// method only because the repository benchmark (`perfbench/`) still forwards it.
     fn snapshot(&self) -> Option<String> {
         None
     }
 
-    /// Absorb the peer snapshots returned by the broker (joined with
-    /// [`SYNC_SEPARATOR`](crate::protocol::SYNC_SEPARATOR); never called with an
-    /// empty payload). Default: ignore them.
+    /// Never called: protocol v3 has no learned-state exchange. Kept as a provided
+    /// method only because the repository benchmark (`perfbench/`) still forwards it.
     fn absorb(&self, _snapshots: &str) {}
 }
 
@@ -48,8 +47,6 @@ pub struct WorkerReport {
     pub stale: usize,
     /// Cells the runner failed.
     pub failed: usize,
-    /// Learned-state sync exchanges performed with the broker.
-    pub syncs: usize,
 }
 
 /// Writes protocol lines; shared with the heartbeat thread behind a mutex so
@@ -127,24 +124,6 @@ pub fn run_worker(
                             Response::Ok => report.completed += 1,
                             Response::Stale => report.stale += 1,
                             other => return Err(unexpected("ok|stale", &other)),
-                        }
-                        // Learned-state exchange: offer our snapshot, absorb the
-                        // peers'. The heartbeat thread is already joined, so no
-                        // other frame can interleave with this request/response.
-                        if let Some(snapshot) = runner.snapshot() {
-                            writer.send(&Request::Sync {
-                                worker: worker.clone(),
-                                payload: snapshot,
-                            })?;
-                            match recv(&mut reader)? {
-                                Response::State { payload } => {
-                                    if !payload.is_empty() {
-                                        runner.absorb(&payload);
-                                    }
-                                    report.syncs += 1;
-                                }
-                                other => return Err(unexpected("state", &other)),
-                            }
                         }
                     }
                     Err(error) => {
@@ -233,4 +212,44 @@ fn recv(reader: &mut BufReader<TcpStream>) -> Result<Response, FleetError> {
 
 fn unexpected(wanted: &str, got: &Response) -> FleetError {
     FleetError::Protocol(format!("expected {wanted}, got `{}`", got.encode()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn version_mismatch_is_refused_before_any_claim() {
+        // A one-shot stub broker that answers `hello` with a v2 `welcome` and
+        // then records every further frame until the worker hangs up.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stub = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut hello = String::new();
+            reader.read_line(&mut hello).unwrap();
+            writer.write_all(b"welcome version=2 cells=1\n").unwrap();
+            let rest: Vec<String> = reader.lines().map_while(Result::ok).collect();
+            (hello, rest)
+        });
+
+        let result = run_worker(addr, "w", &|_c: usize, _s: &str| Ok(String::new()));
+        let (hello, rest) = stub.join().unwrap();
+
+        assert_eq!(hello, "hello worker=w\n");
+        match result {
+            Err(FleetError::Protocol(msg)) => {
+                assert!(msg.contains("v2"), "{msg}");
+                assert!(msg.contains(&format!("v{PROTOCOL_VERSION}")), "{msg}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(
+            rest.iter().all(|line| !line.starts_with("claim")),
+            "worker claimed after a version mismatch: {rest:?}"
+        );
+    }
 }

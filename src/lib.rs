@@ -75,9 +75,9 @@ pub mod prelude {
     pub use grass_core::{
         degrade_estimate, AccuracyTracker, Action, ActionKind, Bound, BoxedPolicy, EstimatorConfig,
         FactorSet, GrassConfig, GrassFactory, GrassPolicy, GsFactory, GsPolicy, JobId, JobOutcome,
-        JobSizeBin, JobSpec, JobView, PolicyFactory, QuantileSketch, RasFactory, RasPolicy,
-        SampleStore, SizeBucket, SpeculationMode, SpeculationPolicy, StageId, StageSpec,
-        StoreSnapshot, StrawmanConfig, SwitchScanCache, TaskId, TaskSpec, TaskView, Time,
+        JobSizeBin, JobSpec, JobView, PolicyFactory, RasFactory, RasPolicy, SampleStore,
+        SizeBucket, SpeculationMode, SpeculationPolicy, StageId, StageSpec, StrawmanConfig,
+        SwitchScanCache, TaskId, TaskSpec, TaskView, Time,
     };
     pub use grass_experiments::{
         assemble_sweep_result, compare, compare_outcomes, experiment_ids, make_factory,
@@ -91,7 +91,7 @@ pub mod prelude {
         fnv1a64, run_fleet, run_worker, serve_broker, BrokerHandle, CellRunner, CellStatus, Claim,
         Completion, DigestCache, FleetConfig, FleetError, FleetOutcome, FleetRunReport,
         FleetSnapshot, FleetStats, GridState, Lease, LeaseTable, Request, Response, WorkerReport,
-        PROTOCOL_VERSION, SYNC_SEPARATOR,
+        PROTOCOL_VERSION,
     };
     pub use grass_metrics::{
         improvement_by_size_bin, improvement_percent, mean_metric, overall_improvement, Cell,

@@ -1,8 +1,8 @@
 //! Scale pin for the two-layer sample store: at 100× the sample volume the
-//! sketched layer's memory must stay flat (binned aggregates + a fixed-width
-//! quantile sketch, no retained samples) while the exact layer grows linearly —
-//! that growth is measured and reported, not pinned, since it is the expected
-//! cost of bit-exactness.
+//! sketched layer's memory must stay flat (binned aggregates and a lifetime count,
+//! no retained samples) while the exact layer grows linearly (retained-sample
+//! rings, no bins) — that growth is measured and reported, not pinned, since it
+//! is the expected cost of bit-exactness.
 //!
 //! Profiles, following `tests/sim_scale.rs`:
 //!
