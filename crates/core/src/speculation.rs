@@ -15,11 +15,14 @@
 //!    unscheduled tasks ("at default, both algorithms schedule the task with the
 //!    lowest `tnew` / highest `trem`").
 
+use std::cell::Cell;
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
 use crate::job::{Bound, JobSpec, JobView};
 use crate::policy::{Action, BoxedPolicy, PolicyFactory, SpeculationPolicy};
-use crate::task::TaskView;
+use crate::task::{TaskId, TaskView};
 
 /// Which of the two building-block algorithms to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,10 +52,139 @@ pub const MAX_COPIES_PER_TASK: u32 = 3;
 /// Choose the next action for a job under GS or RAS. Shared by the plain [`GsPolicy`]
 /// / [`RasPolicy`] wrappers, by GRASS (which alternates between the two modes), and by
 /// the oracle baseline (which feeds ground-truth estimates through the same logic).
+///
+/// Runs in time linear in the number of tasks and, once a thread has seen its largest
+/// job, without heap allocation: both pseudocodes are evaluated in one pass over the
+/// view, and the error-bound `(1 − ε)` cut is an order-statistic selection, not a sort.
 pub fn choose(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     match view.bound {
         Bound::Deadline(_) => choose_deadline(view, mode),
         Bound::Error(_) => choose_error(view, mode),
+    }
+}
+
+/// A task's place in the candidate sequence the pseudocodes walk. Pseudocode 2 walks
+/// the eligible input tasks by effective duration (ties by view position), then the
+/// eligible non-input tasks in view order; Pseudocode 1 walks the view in order.
+/// Ordering candidates by `(value, key)` reproduces `Iterator::min_by` (first minimum
+/// in sequence) and `Iterator::max_by` (last maximum) without materialising the
+/// sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SeqKey {
+    /// 0 for ranked input tasks, 1 for tasks taken in view order after them.
+    class: u8,
+    /// Effective duration in [`total_order_bits`] form; 0 outside class 0.
+    eff: u64,
+    /// Index into `JobView::tasks`.
+    pos: usize,
+}
+
+impl SeqKey {
+    fn ranked_input(eff: f64, pos: usize) -> Self {
+        SeqKey {
+            class: 0,
+            eff: total_order_bits(eff),
+            pos,
+        }
+    }
+
+    fn in_view_order(pos: usize) -> Self {
+        SeqKey {
+            class: 1,
+            eff: 0,
+            pos,
+        }
+    }
+}
+
+/// Map `x` to an integer whose unsigned order is `f64::total_cmp`'s order.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The best candidate seen so far under one selection rule.
+#[derive(Debug, Clone, Copy)]
+struct Pick {
+    value: f64,
+    key: SeqKey,
+    id: TaskId,
+}
+
+impl Pick {
+    fn of(t: &TaskView, value: f64, key: SeqKey) -> Self {
+        Pick {
+            value,
+            key,
+            id: t.id,
+        }
+    }
+
+    /// Ordering by value under `total_cmp`, then by sequence position.
+    fn cmp(&self, other: &Pick) -> Ordering {
+        self.value
+            .total_cmp(&other.value)
+            .then(self.key.cmp(&other.key))
+    }
+}
+
+/// `Iterator::max_by` over the candidate sequence: the last maximum wins.
+fn keep_max(best: &mut Option<Pick>, cand: Pick) {
+    if best.is_none_or(|b| cand.cmp(&b) == Ordering::Greater) {
+        *best = Some(cand);
+    }
+}
+
+/// `Iterator::min_by` over the candidate sequence: the first minimum wins.
+fn keep_min(best: &mut Option<Pick>, cand: Pick) {
+    if best.is_none_or(|b| cand.cmp(&b) == Ordering::Less) {
+        *best = Some(cand);
+    }
+}
+
+/// Pruning of a running task: whether one more copy is admissible under `mode` —
+/// below the copy cap, and beating the running copy (GS) or saving resources (RAS).
+fn admits_copy(t: &TaskView, mode: SpeculationMode) -> bool {
+    t.running_copies < MAX_COPIES_PER_TASK
+        && match mode {
+            SpeculationMode::Gs => t.new_copy_beats_running(),
+            SpeculationMode::Ras => t.speculation_saving().is_some_and(|s| s > 0.0),
+        }
+}
+
+/// RAS's selection value. Candidates passed [`admits_copy`], so the saving exists;
+/// NEG_INFINITY keeps the order total if that ever changes.
+fn saving(t: &TaskView) -> f64 {
+    t.speculation_saving().unwrap_or(f64::NEG_INFINITY)
+}
+
+/// The surviving fresh launch and speculative copy of the selection stage.
+#[derive(Debug, Default)]
+struct Picks {
+    fresh: Option<Pick>,
+    spec: Option<Pick>,
+}
+
+impl Picks {
+    /// GS takes the speculative copy iff `spec_first(spec value, fresh value)`; RAS
+    /// takes any speculation that frees resources (it is a strict win, Figure 1
+    /// right) and otherwise launches the default fresh task.
+    fn into_action(
+        self,
+        mode: SpeculationMode,
+        spec_first: fn(f64, f64) -> bool,
+    ) -> Option<Action> {
+        match (self.fresh, self.spec) {
+            (Some(f), Some(s)) if mode == SpeculationMode::Gs && !spec_first(s.value, f.value) => {
+                Some(Action::launch(f.id))
+            }
+            (_, Some(s)) => Some(Action::speculate(s.id)),
+            (fresh, None) => fresh.map(|f| Action::launch(f.id)),
+        }
     }
 }
 
@@ -62,163 +194,87 @@ fn choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     if remaining <= 0.0 {
         return None;
     }
-
-    // Pruning stage.
-    let mut fresh: Vec<&TaskView> = Vec::new();
-    let mut speculative: Vec<&TaskView> = Vec::new();
-    for t in view.eligible_tasks() {
-        // A copy launched now must be expected to finish before the deadline.
-        if t.tnew > remaining {
+    let mut picks = Picks::default();
+    for (pos, t) in view.tasks.iter().enumerate() {
+        // Pruning: a copy launched now must be expected to finish before the deadline.
+        if !t.eligible || t.tnew > remaining {
             continue;
         }
-        if t.is_running() {
-            if t.running_copies >= MAX_COPIES_PER_TASK {
-                continue;
-            }
+        let key = SeqKey::in_view_order(pos);
+        if !t.is_running() {
+            keep_min(&mut picks.fresh, Pick::of(t, t.tnew, key));
+        } else if admits_copy(t, mode) {
+            // GS: SJF over fresh tasks and admissible copies alike — schedule
+            // whatever finishes soonest. RAS: the largest resource saving.
             match mode {
-                SpeculationMode::Gs => {
-                    if t.new_copy_beats_running() {
-                        speculative.push(t);
-                    }
-                }
-                SpeculationMode::Ras => {
-                    if t.speculation_saving().is_some_and(|s| s > 0.0) {
-                        speculative.push(t);
-                    }
-                }
+                SpeculationMode::Gs => keep_min(&mut picks.spec, Pick::of(t, t.tnew, key)),
+                SpeculationMode::Ras => keep_max(&mut picks.spec, Pick::of(t, saving(t), key)),
             }
-        } else {
-            fresh.push(t);
         }
     }
+    picks.into_action(mode, |spec_tnew, fresh_tnew| spec_tnew < fresh_tnew)
+}
 
-    // Selection stage.
-    match mode {
-        SpeculationMode::Gs => {
-            // SJF over the union of fresh tasks and admissible speculative copies:
-            // schedule whatever finishes soonest.
-            let best_fresh = fresh.into_iter().min_by(|a, b| a.tnew.total_cmp(&b.tnew));
-            let best_spec = speculative
-                .into_iter()
-                .min_by(|a, b| a.tnew.total_cmp(&b.tnew));
-            match (best_fresh, best_spec) {
-                (Some(f), Some(s)) => {
-                    if s.tnew < f.tnew {
-                        Some(Action::speculate(s.id))
-                    } else {
-                        Some(Action::launch(f.id))
-                    }
-                }
-                (Some(f), None) => Some(Action::launch(f.id)),
-                (None, Some(s)) => Some(Action::speculate(s.id)),
-                (None, None) => None,
-            }
-        }
-        SpeculationMode::Ras => {
-            // Speculating only happens when it frees resources; in that case it is a
-            // strict win and takes priority (Figure 1, right). Otherwise launch the
-            // shortest fresh task that fits the deadline.
-            if let Some(s) = speculative.into_iter().max_by(|a, b| {
-                // Candidates were filtered on `speculation_saving().is_some_and(..)`
-                // above; NEG_INFINITY keeps the comparator total if that ever changes.
-                a.speculation_saving()
-                    .unwrap_or(f64::NEG_INFINITY)
-                    .total_cmp(&b.speculation_saving().unwrap_or(f64::NEG_INFINITY))
-            }) {
-                return Some(Action::speculate(s.id));
-            }
-            fresh
-                .into_iter()
-                .min_by(|a, b| a.tnew.total_cmp(&b.tnew))
-                .map(|f| Action::launch(f.id))
-        }
-    }
+thread_local! {
+    /// Sequence keys of the eligible input tasks, reused across [`choose_error`]
+    /// calls on this thread so the hot path stops allocating once the buffer has
+    /// grown to the largest job the thread schedules.
+    static INPUT_KEYS: Cell<Vec<SeqKey>> = const { Cell::new(Vec::new()) };
 }
 
 /// Pseudocode 2: error-bound jobs.
 fn choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> {
-    // Rank unfinished *input* tasks by effective duration and keep only the earliest
-    // ones that will make up the (1 − ε) result, plus every eligible non-input task
-    // (intermediate stages must run in full for the completed fraction).
-    let mut input_tasks: Vec<&TaskView> = view
-        .eligible_tasks()
-        .filter(|t| t.stage.is_input())
-        .collect();
-    input_tasks.sort_by(|a, b| a.effective_duration().total_cmp(&b.effective_duration()));
+    // Only the earliest unfinished *input* tasks — by effective duration — that will
+    // make up the (1 − ε) result are candidates, plus every eligible non-input task
+    // (intermediate stages must run in full for the completed fraction). The default
+    // ordering is LJF, longest work first, to minimise the needed tasks' makespan: GS
+    // picks the candidate with the largest remaining time, the task that most
+    // threatens the makespan, whether by launching it (fresh) or by racing a copy
+    // against its straggling original.
+    let mut picks = Picks::default();
+    let mut offer = |t: &TaskView, key: SeqKey| {
+        if !t.is_running() {
+            keep_max(&mut picks.fresh, Pick::of(t, t.tnew, key));
+        } else if admits_copy(t, mode) {
+            let value = match mode {
+                SpeculationMode::Gs => t.trem,
+                SpeculationMode::Ras => saving(t),
+            };
+            keep_max(&mut picks.spec, Pick::of(t, value, key));
+        }
+    };
+
+    let mut inputs = INPUT_KEYS.take();
+    inputs.clear();
+    for (pos, t) in view.tasks.iter().enumerate() {
+        if !t.eligible {
+            continue;
+        }
+        if t.stage.is_input() {
+            inputs.push(SeqKey::ranked_input(t.effective_duration(), pos));
+        } else {
+            offer(t, SeqKey::in_view_order(pos));
+        }
+    }
+    // The needed set is the `still_needed` smallest keys. Keys are distinct (they
+    // carry the position), so after selecting the (still_needed − 1)-th the prefix
+    // holds exactly that set.
     let still_needed = view
         .input_tasks_still_needed()
-        .unwrap_or(input_tasks.len())
-        .min(input_tasks.len());
-    let candidates = input_tasks
-        .into_iter()
-        .take(still_needed)
-        .chain(view.eligible_tasks().filter(|t| !t.stage.is_input()));
-
-    // Pruning stage.
-    let mut fresh: Vec<&TaskView> = Vec::new();
-    let mut speculative: Vec<&TaskView> = Vec::new();
-    for t in candidates {
-        if t.is_running() {
-            if t.running_copies >= MAX_COPIES_PER_TASK {
-                continue;
-            }
-            match mode {
-                SpeculationMode::Gs => {
-                    if t.new_copy_beats_running() {
-                        speculative.push(t);
-                    }
-                }
-                SpeculationMode::Ras => {
-                    if t.speculation_saving().is_some_and(|s| s > 0.0) {
-                        speculative.push(t);
-                    }
-                }
-            }
-        } else {
-            fresh.push(t);
+        .unwrap_or(inputs.len())
+        .min(inputs.len());
+    if still_needed > 0 && still_needed < inputs.len() {
+        inputs.select_nth_unstable(still_needed - 1);
+    }
+    inputs.truncate(still_needed);
+    for key in &inputs {
+        if let Some(t) = view.tasks.get(key.pos) {
+            offer(t, *key);
         }
     }
+    INPUT_KEYS.set(inputs);
 
-    // Selection stage. The goal is to minimise the makespan of the needed tasks, so
-    // the default ordering is LJF: longest work first.
-    match mode {
-        SpeculationMode::Gs => {
-            // GS picks the candidate with the largest remaining time: the task that
-            // most threatens the makespan, whether by launching it (fresh) or by
-            // racing a copy against its straggling original.
-            let best_fresh = fresh.into_iter().max_by(|a, b| a.tnew.total_cmp(&b.tnew));
-            let best_spec = speculative
-                .into_iter()
-                .max_by(|a, b| a.trem.total_cmp(&b.trem));
-            match (best_fresh, best_spec) {
-                (Some(f), Some(s)) => {
-                    if s.trem > f.tnew {
-                        Some(Action::speculate(s.id))
-                    } else {
-                        Some(Action::launch(f.id))
-                    }
-                }
-                (Some(f), None) => Some(Action::launch(f.id)),
-                (None, Some(s)) => Some(Action::speculate(s.id)),
-                (None, None) => None,
-            }
-        }
-        SpeculationMode::Ras => {
-            if let Some(s) = speculative.into_iter().max_by(|a, b| {
-                // Candidates were filtered on `speculation_saving().is_some_and(..)`
-                // above; NEG_INFINITY keeps the comparator total if that ever changes.
-                a.speculation_saving()
-                    .unwrap_or(f64::NEG_INFINITY)
-                    .total_cmp(&b.speculation_saving().unwrap_or(f64::NEG_INFINITY))
-            }) {
-                return Some(Action::speculate(s.id));
-            }
-            fresh
-                .into_iter()
-                .max_by(|a, b| a.tnew.total_cmp(&b.tnew))
-                .map(|f| Action::launch(f.id))
-        }
-    }
+    picks.into_action(mode, |spec_trem, fresh_tnew| spec_trem > fresh_tnew)
 }
 
 /// Greedy Speculative scheduling as a standalone per-job policy ("GS-only" in §6.3.1).
@@ -489,6 +545,31 @@ mod tests {
         assert_eq!(a.task, TaskId(2));
         let a = choose(&view, SpeculationMode::Ras).unwrap();
         assert_eq!(a.task, TaskId(2));
+    }
+
+    #[test]
+    fn total_order_bits_orders_like_total_cmp() {
+        let xs = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -2.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -77,9 +77,13 @@ impl LatePolicy {
         if rates.is_empty() {
             return None;
         }
-        rates.sort_by(f64::total_cmp);
+        // Only one order statistic is read, so select it in O(n) rather than sort.
+        // Under `total_cmp` the k-th element is a unique bit pattern, so the cutoff
+        // equals the sorted vector's element at the same index.
         let idx = ((rates.len() as f64) * self.config.slow_task_threshold).floor() as usize;
-        rates.get(idx.min(rates.len() - 1)).copied()
+        let idx = idx.min(rates.len() - 1);
+        let (_, cutoff, _) = rates.select_nth_unstable_by(idx, f64::total_cmp);
+        Some(*cutoff)
     }
 
     fn speculation_candidate<'v>(&self, view: &'v JobView) -> Option<&'v TaskView> {

@@ -22,7 +22,10 @@ use grass_core::{
 
 /// Per-job oracle policy.
 #[derive(Debug, Default, Clone)]
-pub struct OraclePolicy;
+pub struct OraclePolicy {
+    /// Ground-truth copy of the current view's tasks, reused across calls.
+    truth: Vec<TaskView>,
+}
 
 impl OraclePolicy {
     /// Rewrite a task view so the estimate fields carry ground truth.
@@ -42,9 +45,10 @@ impl SpeculationPolicy for OraclePolicy {
     fn choose(&mut self, view: &JobView) -> Option<Action> {
         // Substitute ground truth for every estimate, then run the GS/RAS machinery
         // with the oracle-exact switch point.
-        let truth_tasks: Vec<TaskView> = view.tasks.iter().map(Self::with_truth).collect();
+        self.truth.clear();
+        self.truth.extend(view.tasks.iter().map(Self::with_truth));
         let truth_view = JobView {
-            tasks: &truth_tasks,
+            tasks: &self.truth,
             estimation_accuracy: 1.0,
             ..view.clone()
         };
@@ -68,7 +72,7 @@ impl PolicyFactory for OracleFactory {
     }
 
     fn create(&self, _job: &JobSpec) -> BoxedPolicy {
-        Box::new(OraclePolicy)
+        Box::new(OraclePolicy::default())
     }
 }
 
@@ -88,7 +92,7 @@ mod tests {
         straggler.true_new_hint = 3.0;
         let tasks = vec![straggler];
         let view = error_view(&tasks, 0.0, 10, 9);
-        let a = OraclePolicy.choose(&view).unwrap();
+        let a = OraclePolicy::default().choose(&view).unwrap();
         assert_eq!(a.task, TaskId(0));
         assert_eq!(a.kind, ActionKind::Speculate);
     }
@@ -103,7 +107,7 @@ mod tests {
             tasks.push(unscheduled_task(i, 3.0));
         }
         let view = deadline_view(&tasks, 0.0, 1000.0);
-        let a = OraclePolicy.choose(&view).unwrap();
+        let a = OraclePolicy::default().choose(&view).unwrap();
         assert_eq!(a.kind, ActionKind::Launch);
     }
 
@@ -113,7 +117,7 @@ mod tests {
         // oracle races a copy (tnew < trem by ground truth).
         let tasks = vec![running_task(0, 4.0, 3.0, 1)];
         let view = deadline_view(&tasks, 0.0, 1000.0);
-        let a = OraclePolicy.choose(&view).unwrap();
+        let a = OraclePolicy::default().choose(&view).unwrap();
         assert_eq!(a.kind, ActionKind::Speculate);
     }
 
