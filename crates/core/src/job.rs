@@ -137,44 +137,68 @@ impl JobSpec {
     /// non-negative — a NaN or infinity here would silently poison every duration
     /// comparison downstream, so it is rejected at the decode/validation boundary).
     pub fn validate(&self) -> Result<()> {
-        if self.tasks.is_empty() || self.stages.is_empty() {
-            return Err(Error::EmptyJob(self.id));
+        let declared = self
+            .stages
+            .iter()
+            .fold(0usize, |sum, s| sum.saturating_add(s.task_count));
+        JobSpec::validate_parts(
+            self.id,
+            self.arrival,
+            self.bound,
+            self.stages.len(),
+            declared,
+            self.tasks.iter().copied(),
+        )
+    }
+
+    /// The checks of [`JobSpec::validate`] over a job's parts, for decoders that
+    /// hold a job without building a `JobSpec`: `declared_tasks` is the sum of
+    /// the stage task counts and `tasks` yields every task in order. The checks
+    /// run in a fixed order and the first failure is returned, so every caller
+    /// rejects the same job with the same error.
+    pub fn validate_parts(
+        id: JobId,
+        arrival: Time,
+        bound: Bound,
+        stage_count: usize,
+        declared_tasks: usize,
+        tasks: impl ExactSizeIterator<Item = TaskSpec>,
+    ) -> Result<()> {
+        let task_count = tasks.len();
+        if task_count == 0 || stage_count == 0 {
+            return Err(Error::EmptyJob(id));
         }
-        self.bound.validate()?;
-        if !(self.arrival.is_finite() && self.arrival >= 0.0) {
+        bound.validate()?;
+        if !(arrival.is_finite() && arrival >= 0.0) {
             return Err(Error::DegenerateValue {
-                job: self.id,
-                message: format!(
-                    "arrival time {} must be finite and non-negative",
-                    self.arrival
-                ),
+                job: id,
+                message: format!("arrival time {arrival} must be finite and non-negative"),
             });
         }
-        for (i, t) in self.tasks.iter().enumerate() {
+        // One pass: degenerate work fails at once, while the first undeclared
+        // stage is reported only after the task-count check, as its rule is
+        // ordered after that one.
+        let mut unknown_stage = None;
+        for (i, t) in tasks.enumerate() {
             if !(t.work.is_finite() && t.work >= 0.0) {
                 return Err(Error::DegenerateValue {
-                    job: self.id,
+                    job: id,
                     message: format!("task {i} work {} must be finite and non-negative", t.work),
                 });
             }
-        }
-        let declared: usize = self.stages.iter().map(|s| s.task_count).sum();
-        if declared != self.tasks.len() {
-            return Err(Error::InvalidBound(format!(
-                "job {:?}: stage task counts sum to {declared} but {} tasks are declared",
-                self.id,
-                self.tasks.len()
-            )));
-        }
-        for t in &self.tasks {
-            if t.stage.value() as usize >= self.stages.len() {
-                return Err(Error::UnknownStage {
-                    job: self.id,
-                    stage: t.stage,
-                });
+            if unknown_stage.is_none() && t.stage.value() as usize >= stage_count {
+                unknown_stage = Some(t.stage);
             }
         }
-        Ok(())
+        if declared_tasks != task_count {
+            return Err(Error::InvalidBound(format!(
+                "job {id:?}: stage task counts sum to {declared_tasks} but {task_count} tasks are declared"
+            )));
+        }
+        match unknown_stage {
+            Some(stage) => Err(Error::UnknownStage { job: id, stage }),
+            None => Ok(()),
+        }
     }
 
     /// Total number of tasks across all stages.

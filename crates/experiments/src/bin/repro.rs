@@ -8,10 +8,10 @@
 //! repro trace gen --out <file> [--jobs N] [--seed S] [--format text|binary|compressed] [...]
 //! repro trace replay <workload.trace> [--policy P]
 //! repro trace convert <in> <out> --format text|binary|compressed
-//! repro trace stats [--mmap] <trace-file>...
+//! repro trace stats <trace-file>...
 //! repro sweep <workload.trace|dir> [--machines 20,50,100] [--policies late,gs,ras,grass]
 //!             [--baseline late] [--threads N] [--seeds a,b,c] [--slots N] [--quick]
-//!             [--resume <cache-dir>] [--mmap]
+//!             [--resume <cache-dir>]
 //! repro fleet serve <workload.trace|dir> [grid flags] [--port P] [--cache <dir>]
 //! repro fleet work --connect <host:port> [--id NAME] [--stall-ms N]
 //! repro fleet run <workload.trace|dir> [grid flags] [--workers N] [--cache <dir>]
@@ -145,16 +145,16 @@ fn print_help() {
     println!("                       [--machines N] [--slots N] [--format text|binary|compressed]");
     println!("       repro trace replay <workload.trace|dir> [--policy P]");
     println!("       repro trace convert <in> <out> --format text|binary|compressed");
-    println!("       repro trace stats [--mmap] <trace-file>...");
+    println!("       repro trace stats <trace-file>...");
     println!("       repro sweep <workload.trace|dir> [--machines 20,50,100]");
     println!("                   [--policies late,gs,ras,grass] [--baseline late]");
     println!("                   [--threads N] [--seeds a,b,c] [--slots N] [--quick]");
-    println!("                   [--resume <cache-dir>] [--mmap]");
+    println!("                   [--resume <cache-dir>]");
     println!("       repro fleet serve <workload.trace|dir> [grid flags] [--port P]");
-    println!("                         [--cache <dir>] [--test-profile] [--mmap] [timing flags]");
-    println!("       repro fleet work --connect <host:port> [--id NAME] [--stall-ms N] [--mmap]");
+    println!("                         [--cache <dir>] [--test-profile] [timing flags]");
+    println!("       repro fleet work --connect <host:port> [--id NAME] [--stall-ms N]");
     println!("       repro fleet run <workload.trace|dir> [grid flags] [--workers N]");
-    println!("                       [--cache <dir>] [--test-profile] [--mmap] [timing flags]");
+    println!("                       [--cache <dir>] [--test-profile] [timing flags]");
     println!("       repro lint [--format text|json] [--root <dir>] [paths...]");
     println!();
     println!("Experiment ids:");

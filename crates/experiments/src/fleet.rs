@@ -34,7 +34,7 @@ use grass_fleet::{run_fleet, run_worker, CellRunner, DigestCache, FleetConfig, F
 use grass_metrics::OutcomeSet;
 use grass_sim::ClusterConfig;
 use grass_trace::codec::{escape, unescape};
-use grass_trace::{open_workload_source, open_workload_source_mmap, WorkloadMeta};
+use grass_trace::{open_workload_source, WorkloadMeta};
 use grass_workload::{JobSource, StreamedWorkload};
 
 use crate::common::ExpConfig;
@@ -380,21 +380,16 @@ impl FleetPlan {
         })
     }
 
-    /// Open the trace at `path` and build the plan in one step. With `mmap`,
-    /// binary traces decode zero-copy out of a memory map (other formats fall
-    /// back to the streamed open; the plan is identical either way).
+    /// Open the trace at `path` and build the plan in one step. The trace is
+    /// opened by [`open_workload_source`], which picks its read path from the
+    /// input.
     pub fn open(
         path: &Path,
-        mmap: bool,
         config_for: impl FnOnce(&WorkloadMeta, &StreamedWorkload) -> Result<SweepConfig, String>,
     ) -> Result<FleetPlan, String> {
         let path = resolve_workload_path(path);
-        let (meta, source) = if mmap {
-            open_workload_source_mmap(&path)
-        } else {
-            open_workload_source(&path)
-        }
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let (meta, source) = open_workload_source(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let config = config_for(&meta, &source)?;
         FleetPlan::new(&path, meta, source, config)
     }
@@ -502,7 +497,6 @@ impl FleetPlan {
 /// sample store from the trace, exactly as `run_sweep` does in-process.
 pub struct SweepCellRunner {
     stall_ms: u64,
-    mmap: bool,
     // grass: allow(unordered-iter-on-digest-path, "keyed lookup only; cells fetch their own trace by path")
     sources: Mutex<HashMap<PathBuf, StreamedWorkload>>,
 }
@@ -518,17 +512,9 @@ impl SweepCellRunner {
     pub fn with_stall(stall_ms: u64) -> SweepCellRunner {
         SweepCellRunner {
             stall_ms,
-            mmap: false,
             // grass: allow(unordered-iter-on-digest-path, "keyed lookup only; cells fetch their own trace by path")
             sources: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Open traces through the zero-copy mmap path (`repro fleet work --mmap`).
-    /// Cell payloads are identical either way; only the read path differs.
-    pub fn with_mmap(mut self, mmap: bool) -> SweepCellRunner {
-        self.mmap = mmap;
-        self
     }
 
     fn source_for(&self, path: &Path) -> Result<StreamedWorkload, String> {
@@ -536,12 +522,8 @@ impl SweepCellRunner {
         if let Some(source) = sources.get(path) {
             return Ok(source.clone());
         }
-        let (_meta, source) = if self.mmap {
-            open_workload_source_mmap(path)
-        } else {
-            open_workload_source(path)
-        }
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let (_meta, source) = open_workload_source(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         sources.insert(path.to_path_buf(), source.clone());
         Ok(source)
     }
@@ -728,15 +710,15 @@ pub fn run_fleet_command(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_serve_command(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_switches(args, &["quick", "test-profile", "mmap"])?;
-    let mut allowed = vec!["quick", "test-profile", "cache", "port", "mmap"];
+    let flags = Flags::parse_with_switches(args, &["quick", "test-profile"])?;
+    let mut allowed = vec!["quick", "test-profile", "cache", "port"];
     allowed.extend_from_slice(GRID_FLAGS);
     allowed.extend_from_slice(TIMING_FLAGS);
     flags.reject_unknown(&allowed)?;
     let [path] = flags.positional.as_slice() else {
         return Err("fleet serve expects exactly one workload trace path".to_string());
     };
-    let plan = FleetPlan::open(Path::new(path), flags.has("mmap"), |meta, source| {
+    let plan = FleetPlan::open(Path::new(path), |meta, source| {
         sweep_config_from_flags(&flags, meta, source)
     })?;
     let fleet_config = fleet_config_from_flags(&flags)?;
@@ -758,15 +740,8 @@ fn fleet_serve_command(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_run_command(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_switches(args, &["quick", "test-profile", "mmap"])?;
-    let mut allowed = vec![
-        "quick",
-        "test-profile",
-        "cache",
-        "workers",
-        "stall-ms",
-        "mmap",
-    ];
+    let flags = Flags::parse_with_switches(args, &["quick", "test-profile"])?;
+    let mut allowed = vec!["quick", "test-profile", "cache", "workers", "stall-ms"];
     allowed.extend_from_slice(GRID_FLAGS);
     allowed.extend_from_slice(TIMING_FLAGS);
     flags.reject_unknown(&allowed)?;
@@ -779,8 +754,7 @@ fn fleet_run_command(args: &[String]) -> Result<(), String> {
         return Err("fleet run needs --workers >= 1".to_string());
     }
     let stall_ms = flags.get_u64("stall-ms", 0)?;
-    let mmap = flags.has("mmap");
-    let plan = FleetPlan::open(Path::new(path), mmap, |meta, source| {
+    let plan = FleetPlan::open(Path::new(path), |meta, source| {
         sweep_config_from_flags(&flags, meta, source)
     })?;
     let cache = open_cache(&flags)?;
@@ -809,9 +783,6 @@ fn fleet_run_command(args: &[String]) -> Result<(), String> {
         if stall_ms > 0 {
             cmd.arg("--stall-ms").arg(stall_ms.to_string());
         }
-        if mmap {
-            cmd.arg("--mmap");
-        }
         // Workers log to stderr; keep stdout digest-clean.
         cmd.stdout(Stdio::null());
         cmd
@@ -827,8 +798,8 @@ fn fleet_run_command(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_work_command(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_switches(args, &["mmap"])?;
-    flags.reject_unknown(&["connect", "id", "stall-ms", "mmap"])?;
+    let flags = Flags::parse(args)?;
+    flags.reject_unknown(&["connect", "id", "stall-ms"])?;
     if !flags.positional.is_empty() {
         return Err("fleet work takes no positional arguments".to_string());
     }
@@ -838,7 +809,7 @@ fn fleet_work_command(args: &[String]) -> Result<(), String> {
     let default_id = format!("worker-{}", std::process::id());
     let id = flags.get("id").unwrap_or(default_id.as_str());
     let stall_ms = flags.get_u64("stall-ms", 0)?;
-    let runner = SweepCellRunner::with_stall(stall_ms).with_mmap(flags.has("mmap"));
+    let runner = SweepCellRunner::with_stall(stall_ms);
     eprintln!("fleet worker {id} connecting to {addr}");
     let report = run_worker(addr, id, &runner).map_err(|e| e.to_string())?;
     eprintln!(

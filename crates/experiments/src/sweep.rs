@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use grass_metrics::{Cell, Metric, OutcomeSet, Table};
 use grass_sim::ClusterConfig;
-use grass_trace::{open_workload_source, open_workload_source_mmap};
+use grass_trace::open_workload_source;
 use grass_workload::JobSource;
 
 use crate::common::{compare_outcomes, metric_for_source, run_once, Comparison, ExpConfig};
@@ -444,26 +444,22 @@ fn parse_list<T, E: std::fmt::Display>(
 ///
 /// Opens the recorded workload trace **streamingly** (`open_workload_source`:
 /// one O(1)-memory validation pass, then on-demand prefix loads — warm-up
-/// decodes only its job prefix) and sweeps it across the configured grid. The
+/// decodes only its job prefix; a binary (v2) file is read zero-copy out of a
+/// memory map, any other input through a buffered reader, with the same
+/// digest) and sweeps it across the configured grid. The
 /// rendered tables and progress go to stderr; stdout carries only the digest, so
 /// `diff <(run1) <(run2)` is the determinism check.
 pub fn run_sweep_command(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_switches(args, &["quick", "mmap"])?;
+    let flags = Flags::parse_with_switches(args, &["quick"])?;
     flags.reject_unknown(&[
-        "machines", "slots", "policies", "baseline", "threads", "seeds", "quick", "resume", "mmap",
+        "machines", "slots", "policies", "baseline", "threads", "seeds", "quick", "resume",
     ])?;
     let [path] = flags.positional.as_slice() else {
         return Err("sweep expects exactly one workload trace path".to_string());
     };
     let path = resolve_workload_path(Path::new(path));
-    // --mmap decodes binary workload traces zero-copy out of a memory map;
-    // other formats fall back to the streamed open. Digests are identical.
-    let (meta, source) = if flags.has("mmap") {
-        open_workload_source_mmap(&path)
-    } else {
-        open_workload_source(&path)
-    }
-    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let (meta, source) =
+        open_workload_source(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let config = sweep_config_from_flags(&flags, &meta, &source)?;
 
     eprintln!(

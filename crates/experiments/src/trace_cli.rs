@@ -12,7 +12,7 @@
 //!                 [--format text|binary|compressed]
 //! repro trace replay <workload.trace> [--policy P]
 //! repro trace convert <in> <out> --format text|binary|compressed
-//! repro trace stats [--mmap] <trace-file>...
+//! repro trace stats <trace-file>...
 //! ```
 //!
 //! `record` samples a synthetic workload, persists it as `workload.trace`, runs it
@@ -28,10 +28,10 @@
 //! <(replay)` is the record→replay determinism check CI runs in both formats.
 //! `convert` re-encodes a trace of either stream kind into the requested format,
 //! record at a time through `convert_stream` (O(one record) memory). `stats`
-//! folds each file in one streaming pass; `--mmap` switches binary workload
-//! traces to the zero-copy memory-mapped fold (other files fall back to the
-//! streaming pass with identical output). Informational messages go to stderr
-//! to keep stdout digest-clean.
+//! folds each file in one pass: a binary (v2) workload file is folded
+//! zero-copy out of a memory map, every other input (other formats, execution
+//! streams, pipes) streams, and the output is the same either way.
+//! Informational messages go to stderr to keep stdout digest-clean.
 
 use std::path::{Path, PathBuf};
 
@@ -429,22 +429,15 @@ pub(crate) fn resolve_workload_path(path: &Path) -> PathBuf {
     }
 }
 
-fn stats(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_switches(args, &["mmap"])?;
-    flags.reject_unknown(&["mmap"])?;
-    if flags.positional.is_empty() {
+fn stats(paths: &[String]) -> Result<(), String> {
+    if let Some(flag) = paths.iter().find(|p| p.starts_with("--")) {
+        return Err(format!("stats takes only trace paths, not the flag {flag}"));
+    }
+    if paths.is_empty() {
         return Err("stats expects at least one trace path".to_string());
     }
-    let mmap = flags.has("mmap");
-    for path in &flags.positional {
-        // --mmap folds binary workload traces zero-copy out of a memory map;
-        // other files silently fall back to the streaming pass (same result).
-        let stats = if mmap {
-            TraceStats::load_mmap(path)
-        } else {
-            TraceStats::load(path)
-        }
-        .map_err(|e| format!("cannot read {path}: {e}"))?;
+    for path in paths {
+        let stats = TraceStats::load_mmap(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         println!("== {path}");
         println!("{stats}");
     }
@@ -493,16 +486,13 @@ mod tests {
                 digests.push(a);
             }
             // The stats verb reads both written files, whichever format they are
-            // in — and --mmap must not change what it reports.
+            // in.
             let stats_args: Vec<String> = vec![
                 "stats".into(),
                 dir.join("workload.trace").to_str().unwrap().into(),
                 dir.join("execution.trace").to_str().unwrap().into(),
             ];
             run_trace_command(&stats_args).unwrap();
-            let mut mmap_args = stats_args.clone();
-            mmap_args.insert(1, "--mmap".into());
-            run_trace_command(&mmap_args).unwrap();
         }
         // Same seeds, same policy: the digest must not depend on the wire format.
         for pair in digests.chunks(2).skip(1) {

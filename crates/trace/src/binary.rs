@@ -613,8 +613,7 @@ impl TraceCodec for BinaryCodec {
             Box::new(BinaryWorkloadFrames {
                 fr,
                 buf,
-                declared_jobs,
-                seen: 0,
+                jobs: JobFrameDecoder::new(declared_jobs),
             }),
         ))
     }
@@ -684,90 +683,249 @@ pub(crate) fn workload_meta_from_body(
 }
 
 /// Frame-at-a-time job puller behind [`WorkloadItems`]: one length-prefixed
-/// frame is read into the reused buffer per pull, and the meta's declared job
-/// count is enforced at end of stream.
+/// frame is read into the reused buffer per pull and decoded by the shared
+/// [`JobFrameDecoder`].
 struct BinaryWorkloadFrames<R> {
     fr: FrameReader<R>,
     buf: Vec<u8>,
-    declared_jobs: usize,
-    seen: usize,
+    jobs: JobFrameDecoder,
 }
 
 impl<R: BufRead> WorkloadFrames for BinaryWorkloadFrames<R> {
     fn next_job(&mut self) -> Option<Result<JobSpec, TraceError>> {
-        match self.fr.next_frame(&mut self.buf) {
+        let frame = self
+            .fr
+            .next_frame(&mut self.buf)
+            .map(|base| base.map(|base| (self.buf.as_slice(), base)));
+        let job = self.jobs.next(frame, self.fr.offset)?;
+        Some(job.map(|job| job.to_spec()))
+    }
+}
+
+/// Bytes of one fixed-width task record on the v2 wire: a stage byte plus the
+/// eight raw bits of the work `f64`.
+const TASK_RECORD_LEN: usize = 9;
+
+/// The one decoder of workload job frames, shared by the streamed v2, the
+/// compressed v3 and the memory-mapped reads. It checks the frame tag, decodes
+/// and validates the job in place, rejects trailing bytes, and at end of
+/// stream checks the job count the meta frame declared — so every read path
+/// fails on the same input with the same error at the same offset.
+pub(crate) struct JobFrameDecoder {
+    declared: usize,
+    seen: usize,
+}
+
+impl JobFrameDecoder {
+    /// A decoder for a stream whose meta frame declares `declared` jobs.
+    pub(crate) fn new(declared: usize) -> Self {
+        JobFrameDecoder { declared, seen: 0 }
+    }
+
+    /// Decode the next job from `frame` — a frame body and its absolute
+    /// offset, or `None` at a clean end of stream, where the declared job count
+    /// is checked and a mismatch is reported at offset `end`.
+    pub(crate) fn next<'a>(
+        &mut self,
+        frame: Result<Option<(&'a [u8], u64)>, TraceError>,
+        end: u64,
+    ) -> Option<Result<BorrowedJob<'a>, TraceError>> {
+        match frame {
             Err(e) => Some(Err(e)),
-            Ok(Some(base)) => {
-                let mut body = Body::new(&self.buf, base);
-                let tag = match body.take_u8("frame tag") {
-                    Ok(tag) => tag,
-                    Err(e) => return Some(Err(e)),
-                };
-                if tag != TAG_JOB {
-                    return Some(Err(frame_err(
-                        base,
-                        format!("unknown frame tag {tag:#04x} in workload trace"),
-                    )));
-                }
-                self.seen += 1;
-                Some(decode_job(&mut body).and_then(|job| {
-                    body.expect_end("job")?;
-                    Ok(job)
-                }))
-            }
-            Ok(None) => {
-                if self.seen != self.declared_jobs {
-                    Some(Err(frame_err(
-                        self.fr.offset,
-                        format!(
-                            "meta declares {} jobs but the trace contains {}",
-                            self.declared_jobs, self.seen
-                        ),
-                    )))
-                } else {
-                    None
-                }
-            }
+            Ok(Some((frame, base))) => Some(self.decode(frame, base)),
+            Ok(None) if self.seen == self.declared => None,
+            Ok(None) => Some(Err(frame_err(
+                end,
+                format!(
+                    "meta declares {} jobs but the trace contains {}",
+                    self.declared, self.seen
+                ),
+            ))),
+        }
+    }
+
+    fn decode<'a>(&mut self, frame: &'a [u8], base: u64) -> Result<BorrowedJob<'a>, TraceError> {
+        let mut body = Body::new(frame, base);
+        let tag = body.take_u8("frame tag")?;
+        if tag != TAG_JOB {
+            return Err(frame_err(
+                base,
+                format!("unknown frame tag {tag:#04x} in workload trace"),
+            ));
+        }
+        self.seen += 1;
+        let job = BorrowedJob::decode(&mut body)?;
+        body.expect_end("job")?;
+        Ok(job)
+    }
+}
+
+/// One job decoded in place: scalar fields are parsed, the variable-length
+/// regions (stage table, task records) stay as borrowed slices of the frame.
+///
+/// The job was fully validated when it was decoded — structurally and by
+/// `JobSpec::validate_parts` — so the accessors are infallible.
+#[derive(Debug, Clone, Copy)]
+pub struct BorrowedJob<'a> {
+    /// Job identifier.
+    pub id: JobId,
+    /// Arrival time in seconds from the start of the trace.
+    pub arrival: f64,
+    /// Approximation bound.
+    pub bound: Bound,
+    stage_count: usize,
+    /// The encoded stage table: `(name:str task_count:varint)*`.
+    stage_bytes: &'a [u8],
+    /// The encoded task records: `(stage:u8 work:f64)*`, 9 bytes each.
+    task_bytes: &'a [u8],
+}
+
+impl<'a> BorrowedJob<'a> {
+    /// Decode a job frame body (tag already taken): scalars are parsed, the
+    /// stage table and task records are captured as regions after a validating
+    /// scan, and the job is checked by `JobSpec::validate_parts`. Every error
+    /// names the absolute offset of the offending field.
+    fn decode(body: &mut Body<'a>) -> Result<Self, TraceError> {
+        let start = body.offset();
+        let id = JobId(body.take_varint("job id")?);
+        let arrival = body.take_f64("arrival")?;
+        let bound_at = body.offset();
+        let bound = match body.take_u8("bound kind")? {
+            0 => Bound::Deadline(body.take_f64("deadline")?),
+            1 => Bound::Error(body.take_f64("error bound")?),
+            other => return Err(frame_err(bound_at, format!("bad bound kind {other}"))),
+        };
+        let stage_count = body.take_usize("stage count")?;
+        let stages_from = body.position();
+        let mut declared_tasks = 0usize;
+        for _ in 0..stage_count {
+            body.take_str_borrowed("stage name")?;
+            declared_tasks = declared_tasks.saturating_add(body.take_usize("stage task count")?);
+        }
+        let stage_bytes = body.slice_between(stages_from, body.position());
+        let task_count = body.take_usize("task count")?;
+        let tasks_from = body.position();
+        for _ in 0..task_count {
+            body.take_u8("task stage")?;
+            body.take_f64("task work")?;
+        }
+        let job = BorrowedJob {
+            id,
+            arrival,
+            bound,
+            stage_count,
+            stage_bytes,
+            task_bytes: body.slice_between(tasks_from, body.position()),
+        };
+        JobSpec::validate_parts(id, arrival, bound, stage_count, declared_tasks, job.tasks())
+            .map_err(|e| frame_err(start, format!("decoded job is invalid: {e}")))?;
+        Ok(job)
+    }
+
+    /// Number of DAG stages.
+    pub fn stage_count(&self) -> usize {
+        self.stage_count
+    }
+
+    /// Total number of tasks across all stages.
+    pub fn task_count(&self) -> usize {
+        self.task_bytes.len() / TASK_RECORD_LEN
+    }
+
+    /// Iterate the stage table zero-copy as `(name, task_count)` pairs; names
+    /// borrow straight from the frame.
+    pub fn stages(&self) -> BorrowedStages<'a> {
+        BorrowedStages {
+            body: Body::new(self.stage_bytes, 0),
+            remaining: self.stage_count,
+        }
+    }
+
+    /// Iterate the task records. [`TaskSpec`] is `Copy` and the records are
+    /// fixed-width, so this decodes without allocating.
+    pub fn tasks(&self) -> BorrowedTasks<'a> {
+        BorrowedTasks {
+            records: self.task_bytes,
+        }
+    }
+
+    /// Sum of work over every task (the streamed analogue of
+    /// `JobSpec::total_work`).
+    pub fn total_work(&self) -> f64 {
+        self.tasks().map(|t| t.work).sum()
+    }
+
+    /// Copy-on-demand escape hatch: materialise the owned [`JobSpec`] (already
+    /// validated, at decode time).
+    pub fn to_spec(&self) -> JobSpec {
+        JobSpec {
+            id: self.id,
+            arrival: self.arrival,
+            bound: self.bound,
+            stages: self
+                .stages()
+                .map(|(name, task_count)| StageSpec {
+                    name: name.to_string(),
+                    task_count,
+                })
+                .collect(),
+            tasks: self.tasks().collect(),
         }
     }
 }
 
-pub(crate) fn decode_job(body: &mut Body<'_>) -> Result<JobSpec, TraceError> {
-    let start = body.offset();
-    let id = JobId(body.take_varint("job id")?);
-    let arrival = body.take_f64("arrival")?;
-    let bound_at = body.offset();
-    let bound = match body.take_u8("bound kind")? {
-        0 => Bound::Deadline(body.take_f64("deadline")?),
-        1 => Bound::Error(body.take_f64("error bound")?),
-        other => return Err(frame_err(bound_at, format!("bad bound kind {other}"))),
-    };
-    let stage_count = body.take_usize("stage count")?;
-    let mut stages = Vec::with_capacity(stage_count.min(1 << 16));
-    for _ in 0..stage_count {
-        stages.push(StageSpec {
-            name: body.take_str("stage name")?,
-            task_count: body.take_usize("stage task count")?,
-        });
-    }
-    let task_count = body.take_usize("task count")?;
-    let mut tasks = Vec::with_capacity(task_count.min(1 << 20));
-    for _ in 0..task_count {
-        let stage = body.take_u8("task stage")?;
-        let work = body.take_f64("task work")?;
-        tasks.push(TaskSpec::in_stage(work, stage));
-    }
-    let job = JobSpec {
-        id,
-        arrival,
-        bound,
-        stages,
-        tasks,
-    };
-    job.validate()
-        .map_err(|e| frame_err(start, format!("decoded job is invalid: {e}")))?;
-    Ok(job)
+/// Zero-copy iterator over a [`BorrowedJob`]'s stage table.
+pub struct BorrowedStages<'a> {
+    body: Body<'a>,
+    remaining: usize,
 }
+
+impl<'a> Iterator for BorrowedStages<'a> {
+    type Item = (&'a str, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        // The region was validated when the job was decoded, so these cannot
+        // fail; `ok()?` keeps the accessor panic-free regardless.
+        let name = self.body.take_str_borrowed("stage name").ok()?;
+        let task_count = self.body.take_usize("stage task count").ok()?;
+        Some((name, task_count))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+/// Zero-copy iterator over a [`BorrowedJob`]'s fixed-width task records.
+pub struct BorrowedTasks<'a> {
+    records: &'a [u8],
+}
+
+impl Iterator for BorrowedTasks<'_> {
+    type Item = TaskSpec;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let record = self.records.get(..TASK_RECORD_LEN)?;
+        self.records = self.records.get(TASK_RECORD_LEN..).unwrap_or(&[]);
+        let (&stage, bits) = record.split_first()?;
+        let bits: [u8; 8] = bits.try_into().ok()?;
+        Some(TaskSpec::in_stage(
+            f64::from_bits(u64::from_le_bytes(bits)),
+            stage,
+        ))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.records.len() / TASK_RECORD_LEN;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for BorrowedTasks<'_> {}
 
 /// Read and decode the mandatory meta frame of an execution stream.
 fn decode_execution_meta_frame<R: BufRead>(

@@ -23,13 +23,15 @@
 //! take a [`TraceFormat`] (defaulting to text for debuggability). All formats
 //! round-trip every `f64` bit-exactly, the property the replay guarantee rests on.
 //!
-//! For binary (v2) traces there is additionally a **zero-copy memory-mapped read
-//! path** ([`mmap`]): [`MappedWorkload`] borrows stage names and task records
-//! straight out of the map ([`BorrowedJob`]), decoding without per-record
-//! allocation, with [`BorrowedJob::to_spec`] as the copy-on-demand escape hatch
-//! into the owned types. [`open_workload_source_mmap`] is the drop-in mmap
-//! variant of [`open_workload_source`] used by `repro sweep --mmap` and fleet
-//! warm-up.
+//! Binary job frames, whether v2 or inside v3 blocks, have one decoder: each
+//! job is decoded in place into a [`BorrowedJob`] that borrows stage names and
+//! task records from the frame, validated by `JobSpec::validate_parts`, and
+//! turned into an owned `JobSpec` by [`BorrowedJob::to_spec`] when a caller
+//! needs one. For a regular binary (v2) workload file there is a **zero-copy
+//! memory-mapped read path** ([`mmap`]): [`MappedWorkload`] decodes jobs straight
+//! out of the map without per-record allocation. [`open_workload_source`] and
+//! [`TraceStats::load_mmap`] take it on their own when the input is such a
+//! file, and stream every other input.
 //!
 //! Decode is **streaming end to end** ([`stream`]): the codec plugins expose
 //! pull-based frame iterators ([`WorkloadItems`], [`ExecutionEvents`], and
@@ -86,14 +88,14 @@ pub mod text;
 pub mod v3;
 pub mod workload;
 
-pub use binary::BinaryCodec;
+pub use binary::{BinaryCodec, BorrowedJob};
 pub use codec::{
     Record, StreamKind, TraceError, TraceReader, TraceWriter, BINARY_FORMAT_VERSION,
     COMPRESSED_FORMAT_VERSION, FORMAT_VERSION,
 };
 pub use execution::{ExecutionMeta, ExecutionTrace};
 pub use format::{codec_for, sniff_bytes, sniff_format, TraceCodec, TraceFormat};
-pub use mmap::{open_workload_source_mmap, BorrowedJob, BorrowedJobs, MappedWorkload};
+pub use mmap::{BorrowedJobs, MappedWorkload};
 pub use replay::{replay, replay_config};
 pub use sink::{convert_stream, ExecutionTraceSink, WorkloadTraceSink};
 pub use stats::TraceStats;

@@ -1,23 +1,24 @@
-//! Zero-copy memory-mapped decode of binary (v2) workload traces.
+//! Zero-copy memory-mapped reads of binary (v2) workload traces.
 //!
 //! [`MappedWorkload`] maps a trace file and decodes it *in place*: frames are
 //! located through the same length-prefix walk as the streamed reader, and each
 //! [`BorrowedJob`] holds `&[u8]`/`&str` slices straight into the map — stage
 //! names, the stage table and the fixed-width task records are never copied.
-//! Iterating jobs therefore allocates nothing per record, which is what lets
-//! the decode run at memory bandwidth instead of allocator speed; the
-//! copy-on-demand escape hatch into the owned types is [`BorrowedJob::to_spec`].
+//! Iterating jobs therefore allocates nothing per record; the copy-on-demand
+//! escape hatch into the owned types is [`BorrowedJob::to_spec`].
 //!
-//! Strictness is not relaxed: every structural check of the streamed v2 decoder
-//! runs here too, through the same `Body` cursor with the map index as its
-//! base offset — so a corrupt trace fails with an error **byte-identical** to
-//! the streamed decoder's, and every job is semantically validated (the same
-//! checks as `JobSpec::validate`, in the same order) before it is yielded.
+//! Strictness is not relaxed: job frames go through the same
+//! `JobFrameDecoder` as the streamed v2 and v3 reads, with the map index as the
+//! base offset, so a corrupt trace fails with an error **byte-identical** to
+//! the streamed decoder's.
 //!
-//! [`open_workload_source_mmap`] is the drop-in mmap variant of
-//! [`open_workload_source`]: binary traces take the zero-copy path, any other
-//! format transparently falls back to the streamed open, so callers can enable
-//! it unconditionally (`repro sweep --mmap`, fleet warm-up).
+//! Nobody opts in to this path. [`open_workload_source`] and
+//! [`TraceStats::load_mmap`] map a file themselves when it is a regular file
+//! holding a v2 workload stream, and stream everything else — text and v3
+//! traces, execution streams, and pipes, which have no pages to map.
+//!
+//! [`open_workload_source`]: crate::open_workload_source
+//! [`TraceStats::load_mmap`]: crate::TraceStats::load_mmap
 //!
 //! # Safety
 //!
@@ -30,17 +31,12 @@
 use std::fs::File;
 use std::path::Path;
 
-use grass_core::{Bound, Error as CoreError, JobId, JobSpec, StageId, StageSpec, TaskSpec};
-use grass_workload::StreamedWorkload;
-
-use crate::binary::{frame_err, workload_meta_from_body, Body, FrameReader, TAG_JOB};
+use crate::binary::{
+    frame_err, workload_meta_from_body, Body, BorrowedJob, FrameReader, JobFrameDecoder,
+};
 use crate::codec::{StreamKind, TraceError, BINARY_FORMAT_VERSION};
-use crate::format::{sniff_format, TraceFormat, SNIFF_LEN};
-use crate::workload::{open_workload_source, WorkloadMeta};
-
-/// Bytes of one fixed-width task record on the v2 wire: a stage byte plus the
-/// eight raw bits of the work `f64`.
-const TASK_RECORD_LEN: usize = 9;
+use crate::format::{sniff_bytes, sniff_format, TraceFormat, SNIFF_LEN};
+use crate::workload::WorkloadMeta;
 
 /// A binary (v2) workload trace mapped into memory, decoded in place.
 ///
@@ -61,15 +57,27 @@ impl MappedWorkload {
     /// Fails with the same errors as the streamed decoder: [`TraceError::BadMagic`]
     /// for non-trace files, [`TraceError::UnsupportedVersion`] for other format
     /// versions (including text and v3 traces, which have no in-place
-    /// representation — use [`open_workload_source_mmap`] to fall back
-    /// automatically), [`TraceError::WrongStream`] for execution traces.
+    /// representation), [`TraceError::WrongStream`] for execution traces.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        let file = File::open(path)?;
-        // SAFETY: read-only private mapping; trace files are write-once, so the
-        // file is not mutated or truncated while the map is alive (module
-        // contract above).
-        let map = unsafe { memmap2::Mmap::map(&file)? };
-        MappedWorkload::from_map(map)
+        MappedWorkload::from_map(map_file(path.as_ref())?)
+    }
+
+    /// Map `path` when it is a regular file whose header names a v2 workload
+    /// stream; `None` for every other input, which the caller streams. Pipes
+    /// and other special files report no length, so mapping one would read as
+    /// an empty file.
+    pub(crate) fn open_if_v2_workload(path: &Path) -> Result<Option<Self>, TraceError> {
+        if !std::fs::metadata(path).is_ok_and(|m| m.is_file()) {
+            return Ok(None);
+        }
+        let map = map_file(path)?;
+        if !matches!(
+            sniff_bytes(&map),
+            Ok((TraceFormat::Binary, StreamKind::Workload))
+        ) {
+            return Ok(None);
+        }
+        MappedWorkload::from_map(map).map(Some)
     }
 
     fn from_map(map: memmap2::Mmap) -> Result<Self, TraceError> {
@@ -133,59 +141,26 @@ impl MappedWorkload {
         fr.offset = self.jobs_at;
         BorrowedJobs {
             fr,
-            declared_jobs: self.declared_jobs,
-            seen: 0,
+            jobs: JobFrameDecoder::new(self.declared_jobs),
             fused: false,
         }
     }
+}
+
+fn map_file(path: &Path) -> Result<memmap2::Mmap, TraceError> {
+    let file = File::open(path)?;
+    // SAFETY: read-only private mapping; trace files are write-once, so the
+    // file is not mutated or truncated while the map is alive (module
+    // contract above).
+    Ok(unsafe { memmap2::Mmap::map(&file)? })
 }
 
 /// Zero-copy job iterator over a [`MappedWorkload`]; yields one
 /// `Result<BorrowedJob, TraceError>` per job frame.
 pub struct BorrowedJobs<'a> {
     fr: FrameReader<&'a [u8]>,
-    declared_jobs: usize,
-    seen: usize,
+    jobs: JobFrameDecoder,
     fused: bool,
-}
-
-impl<'a> BorrowedJobs<'a> {
-    fn pull(&mut self) -> Option<Result<BorrowedJob<'a>, TraceError>> {
-        match self.fr.next_frame_borrowed() {
-            Err(e) => Some(Err(e)),
-            Ok(Some((frame, base))) => {
-                let mut body = Body::new(frame, base);
-                let tag = match body.take_u8("frame tag") {
-                    Ok(tag) => tag,
-                    Err(e) => return Some(Err(e)),
-                };
-                if tag != TAG_JOB {
-                    return Some(Err(frame_err(
-                        base,
-                        format!("unknown frame tag {tag:#04x} in workload trace"),
-                    )));
-                }
-                self.seen += 1;
-                Some(decode_job_borrowed(&mut body).and_then(|job| {
-                    body.expect_end("job")?;
-                    Ok(job)
-                }))
-            }
-            Ok(None) => {
-                if self.seen != self.declared_jobs {
-                    Some(Err(frame_err(
-                        self.fr.offset,
-                        format!(
-                            "meta declares {} jobs but the trace contains {}",
-                            self.declared_jobs, self.seen
-                        ),
-                    )))
-                } else {
-                    None
-                }
-            }
-        }
-    }
 }
 
 impl<'a> Iterator for BorrowedJobs<'a> {
@@ -195,276 +170,14 @@ impl<'a> Iterator for BorrowedJobs<'a> {
         if self.fused {
             return None;
         }
-        let item = self.pull();
+        let item = self
+            .jobs
+            .next(self.fr.next_frame_borrowed(), self.fr.offset);
         if matches!(item, Some(Err(_)) | None) {
             self.fused = true;
         }
         item
     }
-}
-
-/// One job decoded in place: scalar fields are parsed, the variable-length
-/// regions (stage table, task records) stay as borrowed slices of the map.
-///
-/// The job was fully validated when it was decoded — structurally (same checks
-/// and offsets as the streamed decoder) and semantically (same checks as
-/// `JobSpec::validate`) — so the accessors are infallible.
-#[derive(Debug, Clone, Copy)]
-pub struct BorrowedJob<'a> {
-    /// Job identifier.
-    pub id: JobId,
-    /// Arrival time in seconds from the start of the trace.
-    pub arrival: f64,
-    /// Approximation bound.
-    pub bound: Bound,
-    stage_count: usize,
-    /// The encoded stage table: `(name:str task_count:varint)*`.
-    stage_bytes: &'a [u8],
-    /// The encoded task records: `(stage:u8 work:f64)*`, 9 bytes each.
-    task_bytes: &'a [u8],
-}
-
-impl<'a> BorrowedJob<'a> {
-    /// Number of DAG stages.
-    pub fn stage_count(&self) -> usize {
-        self.stage_count
-    }
-
-    /// Total number of tasks across all stages.
-    pub fn task_count(&self) -> usize {
-        self.task_bytes.len() / TASK_RECORD_LEN
-    }
-
-    /// Iterate the stage table zero-copy as `(name, task_count)` pairs; names
-    /// borrow straight from the map.
-    pub fn stages(&self) -> BorrowedStages<'a> {
-        BorrowedStages {
-            body: Body::new(self.stage_bytes, 0),
-            remaining: self.stage_count,
-        }
-    }
-
-    /// Iterate the task records. [`TaskSpec`] is `Copy` and the records are
-    /// fixed-width, so this decodes without allocating.
-    pub fn tasks(&self) -> BorrowedTasks<'a> {
-        BorrowedTasks {
-            records: self.task_bytes,
-        }
-    }
-
-    /// Sum of work over every task (the streamed analogue of
-    /// `JobSpec::total_work`).
-    pub fn total_work(&self) -> f64 {
-        self.tasks().map(|t| t.work).sum()
-    }
-
-    /// Copy-on-demand escape hatch: materialise the owned [`JobSpec`].
-    /// Equal to what the streamed decoder yields for the same frame (and
-    /// already validated, at decode time).
-    pub fn to_spec(&self) -> JobSpec {
-        JobSpec {
-            id: self.id,
-            arrival: self.arrival,
-            bound: self.bound,
-            stages: self
-                .stages()
-                .map(|(name, task_count)| StageSpec {
-                    name: name.to_string(),
-                    task_count,
-                })
-                .collect(),
-            tasks: self.tasks().collect(),
-        }
-    }
-}
-
-/// Zero-copy iterator over a [`BorrowedJob`]'s stage table.
-pub struct BorrowedStages<'a> {
-    body: Body<'a>,
-    remaining: usize,
-}
-
-impl<'a> Iterator for BorrowedStages<'a> {
-    type Item = (&'a str, usize);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // The region was validated when the job was decoded, so these cannot
-        // fail; `ok()?` keeps the accessor panic-free regardless.
-        let name = self.body.take_str_borrowed("stage name").ok()?;
-        let task_count = self.body.take_usize("stage task count").ok()?;
-        Some((name, task_count))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// Zero-copy iterator over a [`BorrowedJob`]'s fixed-width task records.
-pub struct BorrowedTasks<'a> {
-    records: &'a [u8],
-}
-
-impl Iterator for BorrowedTasks<'_> {
-    type Item = TaskSpec;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let record = self.records.get(..TASK_RECORD_LEN)?;
-        self.records = self.records.get(TASK_RECORD_LEN..).unwrap_or(&[]);
-        let (&stage, bits) = record.split_first()?;
-        let bits: [u8; 8] = bits.try_into().ok()?;
-        Some(TaskSpec::in_stage(
-            f64::from_bits(u64::from_le_bytes(bits)),
-            stage,
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.records.len() / TASK_RECORD_LEN;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for BorrowedTasks<'_> {}
-
-/// Decode one job frame in place: scalars are parsed, the stage table and task
-/// records are captured as regions after a validating scan. Field order,
-/// structural checks and error offsets are those of the streamed decoder.
-fn decode_job_borrowed<'a>(body: &mut Body<'a>) -> Result<BorrowedJob<'a>, TraceError> {
-    let start = body.offset();
-    let id = JobId(body.take_varint("job id")?);
-    let arrival = body.take_f64("arrival")?;
-    let bound_at = body.offset();
-    let bound = match body.take_u8("bound kind")? {
-        0 => Bound::Deadline(body.take_f64("deadline")?),
-        1 => Bound::Error(body.take_f64("error bound")?),
-        other => return Err(frame_err(bound_at, format!("bad bound kind {other}"))),
-    };
-    let stage_count = body.take_usize("stage count")?;
-    let stages_from = body.position();
-    let mut declared_task_sum = 0usize;
-    for _ in 0..stage_count {
-        body.take_str_borrowed("stage name")?;
-        declared_task_sum = declared_task_sum.saturating_add(body.take_usize("stage task count")?);
-    }
-    let stage_bytes = body.slice_between(stages_from, body.position());
-    let task_count = body.take_usize("task count")?;
-    let tasks_from = body.position();
-    for _ in 0..task_count {
-        body.take_u8("task stage")?;
-        body.take_f64("task work")?;
-    }
-    let task_bytes = body.slice_between(tasks_from, body.position());
-    let job = BorrowedJob {
-        id,
-        arrival,
-        bound,
-        stage_count,
-        stage_bytes,
-        task_bytes,
-    };
-    validate_borrowed(&job, declared_task_sum)
-        .map_err(|e| frame_err(start, format!("decoded job is invalid: {e}")))?;
-    Ok(job)
-}
-
-/// The semantic checks of `JobSpec::validate`, run over the borrowed regions —
-/// same checks, same order, same error values, so the mmap path rejects exactly
-/// the jobs (with exactly the messages) the streamed path rejects. Parity is
-/// pinned by `tests/trace_mmap.rs`.
-fn validate_borrowed(job: &BorrowedJob<'_>, declared_task_sum: usize) -> Result<(), CoreError> {
-    if job.task_count() == 0 || job.stage_count == 0 {
-        return Err(CoreError::EmptyJob(job.id));
-    }
-    job.bound.validate()?;
-    if !(job.arrival.is_finite() && job.arrival >= 0.0) {
-        return Err(CoreError::DegenerateValue {
-            job: job.id,
-            message: format!(
-                "arrival time {} must be finite and non-negative",
-                job.arrival
-            ),
-        });
-    }
-    for (i, t) in job.tasks().enumerate() {
-        if !(t.work.is_finite() && t.work >= 0.0) {
-            return Err(CoreError::DegenerateValue {
-                job: job.id,
-                message: format!("task {i} work {} must be finite and non-negative", t.work),
-            });
-        }
-    }
-    if declared_task_sum != job.task_count() {
-        return Err(CoreError::InvalidBound(format!(
-            "job {:?}: stage task counts sum to {declared_task_sum} but {} tasks are declared",
-            job.id,
-            job.task_count()
-        )));
-    }
-    for t in job.tasks() {
-        if t.stage.value() as usize >= job.stage_count {
-            return Err(CoreError::UnknownStage {
-                job: job.id,
-                stage: StageId(t.stage.value()),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Open a workload trace as a streaming job source through the zero-copy mmap
-/// path — the drop-in variant of [`open_workload_source`].
-///
-/// For binary (v2) traces the validation pass and every subsequent
-/// `jobs()`/`warmup_jobs()` load decode borrowed records out of a private
-/// read-only map, allocating owned `JobSpec`s only for the jobs the caller
-/// actually requests. Text and compressed traces have no in-place
-/// representation, so they transparently fall back to the streamed
-/// [`open_workload_source`] — callers can pass `--mmap` unconditionally.
-///
-/// The validation semantics, the returned metadata and the decoded jobs are
-/// identical to the streamed open; only the I/O strategy differs.
-pub fn open_workload_source_mmap(
-    path: impl AsRef<Path>,
-) -> Result<(WorkloadMeta, StreamedWorkload), TraceError> {
-    let path = path.as_ref().to_path_buf();
-    let file = File::open(&path)?;
-    // SAFETY: read-only private mapping of a write-once trace file (module
-    // contract above).
-    let map = unsafe { memmap2::Mmap::map(&file)? };
-    let data: &[u8] = &map;
-    if sniff_format(data.get(..SNIFF_LEN).unwrap_or(data))? != TraceFormat::Binary {
-        drop(map);
-        return open_workload_source(&path);
-    }
-    let mapped = MappedWorkload::from_map(map)?;
-    let meta = mapped.meta().clone();
-    let (mut total, mut deadline_jobs) = (0usize, 0usize);
-    for job in mapped.jobs() {
-        let job = job?;
-        total += 1;
-        if job.bound.is_deadline() {
-            deadline_jobs += 1;
-        }
-    }
-    let source = StreamedWorkload::new(
-        meta.profile.clone(),
-        total,
-        deadline_jobs * 2 > total,
-        move |count| {
-            let mapped = MappedWorkload::open(&path).map_err(|e| e.to_string())?;
-            mapped
-                .jobs()
-                .take(count)
-                .map(|job| job.map(|j| j.to_spec()).map_err(|e| e.to_string()))
-                .collect()
-        },
-    );
-    Ok((meta, source))
 }
 
 #[cfg(test)]
@@ -565,12 +278,13 @@ mod tests {
     fn mmap_errors_match_streamed_errors_byte_for_byte() {
         let trace = sample_trace();
         let bytes = trace.to_bytes_as(TraceFormat::Binary);
-        // Truncate at every byte boundary in the job region; the mapped decoder
-        // must produce exactly the streamed decoder's error.
-        let file = TempTrace::new("cut");
-        for cut in (20..bytes.len()).step_by(7) {
-            std::fs::write(file.path(), &bytes[..cut]).unwrap();
-            let streamed_err = crate::stream::WorkloadItems::open(&bytes[..cut])
+        // The mapped decoder must produce exactly the streamed decoder's error
+        // (or success) on every corrupt input: first the stream cut at byte
+        // boundaries, then a single byte flipped anywhere in the job region.
+        let file = TempTrace::new("corrupt");
+        let check = |corrupt: &[u8], what: &str| {
+            std::fs::write(file.path(), corrupt).unwrap();
+            let streamed_err = crate::stream::WorkloadItems::open(corrupt)
                 .map(|items| items.map(|j| j.map(|_| ())).collect::<Result<Vec<_>, _>>());
             let mapped_err = MappedWorkload::open(file.path()).map(|m| {
                 m.jobs()
@@ -579,20 +293,40 @@ mod tests {
             });
             match (streamed_err, mapped_err) {
                 (Ok(Ok(_)), Ok(Ok(_))) => {}
-                (Ok(Err(a)), Ok(Err(b))) => assert_eq!(a.to_string(), b.to_string(), "cut {cut}"),
-                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "cut {cut}"),
-                (a, b) => panic!("divergent outcomes at cut {cut}: {a:?} vs {b:?}"),
+                (Ok(Err(a)), Ok(Err(b))) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+                (a, b) => panic!("divergent outcomes at {what}: {a:?} vs {b:?}"),
+            }
+        };
+        for cut in (20..bytes.len()).step_by(7) {
+            check(&bytes[..cut], &format!("cut {cut}"));
+        }
+        let jobs_at = WorkloadTrace::new(trace.meta.clone(), Vec::new())
+            .to_bytes_as(TraceFormat::Binary)
+            .len();
+        let mut flipped = bytes.clone();
+        for at in (jobs_at..bytes.len()).step_by(5) {
+            for mask in [0x01, 0x80, 0xFF] {
+                flipped[at] ^= mask;
+                check(&flipped, &format!("byte {at} ^ {mask:#04x}"));
+                flipped[at] ^= mask;
             }
         }
     }
 
     #[test]
     fn mmap_source_matches_streamed_source() {
+        use crate::workload::open_workload_source;
         use grass_workload::JobSource;
         let trace = sample_trace();
         let file = write_binary(&trace);
-        let (meta_a, streamed) = open_workload_source(file.path()).unwrap();
-        let (meta_b, mapped) = open_workload_source_mmap(file.path()).unwrap();
+        assert!(MappedWorkload::open_if_v2_workload(file.path())
+            .unwrap()
+            .is_some());
+        let text = TempTrace::new("text-source");
+        trace.save_as(text.path(), TraceFormat::Text).unwrap();
+        let (meta_a, streamed) = open_workload_source(text.path()).unwrap();
+        let (meta_b, mapped) = open_workload_source(file.path()).unwrap();
         assert_eq!(meta_a, meta_b);
         assert_eq!(streamed.label(), mapped.label());
         assert_eq!(streamed.jobs(0), mapped.jobs(0));
@@ -602,12 +336,16 @@ mod tests {
 
     #[test]
     fn mmap_source_falls_back_for_other_formats() {
+        use crate::workload::open_workload_source;
         use grass_workload::JobSource;
         let trace = sample_trace();
         for format in [TraceFormat::Text, TraceFormat::Compressed] {
             let file = TempTrace::new("fallback");
             trace.save_as(file.path(), format).unwrap();
-            let (meta, source) = open_workload_source_mmap(file.path()).unwrap();
+            assert!(MappedWorkload::open_if_v2_workload(file.path())
+                .unwrap()
+                .is_none());
+            let (meta, source) = open_workload_source(file.path()).unwrap();
             assert_eq!(meta, trace.meta, "{format}");
             assert_eq!(source.jobs(0), trace.jobs, "{format}");
         }

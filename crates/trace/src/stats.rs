@@ -54,17 +54,14 @@ impl TraceStats {
 
     /// Compute statistics over a memory-mapped binary workload trace without
     /// copying a single record: jobs fold straight out of the mapped bytes via
-    /// [`crate::MappedWorkload`]. Files the mapped path does not cover (text,
-    /// compressed, execution streams) fall back to [`TraceStats::load`] — the
-    /// result is identical either way, only the read path differs.
+    /// [`crate::MappedWorkload`]. Inputs the mapped path does not cover (text,
+    /// compressed, execution streams, pipes and other non-regular files) fall
+    /// back to [`TraceStats::load`] — the result is identical either way, only
+    /// the read path differs.
     pub fn load_mmap(path: impl AsRef<Path>) -> Result<Self, TraceError> {
         let path = path.as_ref();
-        let mapped = match crate::MappedWorkload::open(path) {
-            Ok(mapped) => mapped,
-            Err(TraceError::UnsupportedVersion(_) | TraceError::WrongStream { .. }) => {
-                return Self::load(path);
-            }
-            Err(e) => return Err(e),
+        let Some(mapped) = crate::MappedWorkload::open_if_v2_workload(path)? else {
+            return Self::load(path);
         };
         let mut acc = WorkloadAccumulator::default();
         for job in mapped.jobs() {

@@ -24,9 +24,9 @@ use grass_core::JobSpec;
 use grass_sim::SimTraceEvent;
 
 use crate::binary::{
-    decode_event, decode_job, event_body, execution_meta_body, execution_meta_from_body, frame_err,
-    job_body, kind_code, workload_meta_body, workload_meta_from_body, Body, FrameReader,
-    MAGIC_TERMINATOR, TAG_JOB,
+    decode_event, event_body, execution_meta_body, execution_meta_from_body, frame_err, job_body,
+    kind_code, workload_meta_body, workload_meta_from_body, Body, FrameReader, JobFrameDecoder,
+    MAGIC_TERMINATOR,
 };
 use crate::codec::{StreamKind, TraceError, COMPRESSED_FORMAT_VERSION, MAGIC};
 use crate::compress::{BlockReader, BlockWriter};
@@ -127,8 +127,7 @@ impl TraceCodec for CompressedCodec {
             declared_jobs,
             Box::new(CompressedWorkloadFrames {
                 br,
-                declared_jobs,
-                seen: 0,
+                jobs: JobFrameDecoder::new(declared_jobs),
             }),
         ))
     }
@@ -162,50 +161,21 @@ impl TraceCodec for CompressedCodec {
     }
 }
 
-/// Frame-at-a-time job puller behind [`WorkloadItems`] for v3 streams; enforces
-/// the declared job count at end of stream like its v2 counterpart.
+/// Frame-at-a-time job puller behind [`WorkloadItems`] for v3 streams; the
+/// decompressed frames go through the same [`JobFrameDecoder`] as v2's.
 struct CompressedWorkloadFrames<R> {
     br: BlockReader<R>,
-    declared_jobs: usize,
-    seen: usize,
+    jobs: JobFrameDecoder,
 }
 
 impl<R: BufRead> WorkloadFrames for CompressedWorkloadFrames<R> {
     fn next_job(&mut self) -> Option<Result<JobSpec, TraceError>> {
-        match self.br.next_frame() {
-            Err(e) => Some(Err(e)),
-            Ok(Some((start, end, base))) => {
-                let mut body = Body::new(self.br.frame(start, end), base);
-                let tag = match body.take_u8("frame tag") {
-                    Ok(tag) => tag,
-                    Err(e) => return Some(Err(e)),
-                };
-                if tag != TAG_JOB {
-                    return Some(Err(frame_err(
-                        base,
-                        format!("unknown frame tag {tag:#04x} in workload trace"),
-                    )));
-                }
-                self.seen += 1;
-                Some(decode_job(&mut body).and_then(|job| {
-                    body.expect_end("job")?;
-                    Ok(job)
-                }))
-            }
-            Ok(None) => {
-                if self.seen != self.declared_jobs {
-                    Some(Err(frame_err(
-                        self.br.file_offset(),
-                        format!(
-                            "meta declares {} jobs but the trace contains {}",
-                            self.declared_jobs, self.seen
-                        ),
-                    )))
-                } else {
-                    None
-                }
-            }
-        }
+        let frame = self
+            .br
+            .next_frame()
+            .map(|frame| frame.map(|(start, end, base)| (self.br.frame(start, end), base)));
+        let job = self.jobs.next(frame, self.br.file_offset())?;
+        Some(job.map(|job| job.to_spec()))
     }
 }
 

@@ -16,11 +16,12 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use grass_core::JobSpec;
+use grass_core::{Bound, JobSpec};
 use grass_workload::{generate, RecordedWorkload, StreamedWorkload, WorkloadConfig};
 
 use crate::codec::TraceError;
 use crate::format::{codec_for, TraceFormat};
+use crate::mmap::MappedWorkload;
 use crate::stream::WorkloadItems;
 
 /// Provenance and replay metadata of a workload trace.
@@ -134,39 +135,60 @@ impl WorkloadTrace {
 /// source, without ever materialising the full job list up front.
 ///
 /// Opening makes one O(1)-memory validation pass over the file: the meta record
-/// is decoded, every job is streamed through `JobSpec::validate` (so corrupt
-/// traces fail here, with the codec's byte-offset/line error, not mid-sweep),
-/// and the majority bound kind is tallied for metric selection. The returned
-/// source then re-opens the file on demand: `warmup_jobs(fraction, _)` decodes
-/// only the first ⌈fraction·n⌉ jobs from disk, and `jobs()` decodes the full
-/// stream per call — memory stays bounded by what the caller keeps.
+/// is decoded, every job is decoded and validated (so corrupt traces fail here,
+/// with the codec's byte-offset/line error, not mid-sweep), and the majority
+/// bound kind is tallied for metric selection. The returned source then
+/// re-opens the file on demand: `warmup_jobs(fraction, _)` decodes only the
+/// first ⌈fraction·n⌉ jobs, and `jobs()` decodes the full stream per call —
+/// memory stays bounded by what the caller keeps.
+///
+/// The read path follows from the input: a regular file holding a binary (v2)
+/// workload is decoded zero-copy out of a memory map ([`MappedWorkload`]), and
+/// every other input — text, compressed, a pipe — streams through a buffered
+/// reader. The metadata, the decoded jobs and the errors are the same either way.
 pub fn open_workload_source(
     path: impl AsRef<Path>,
 ) -> Result<(WorkloadMeta, StreamedWorkload), TraceError> {
     let path = path.as_ref().to_path_buf();
+    if let Some(mapped) = MappedWorkload::open_if_v2_workload(&path)? {
+        let meta = mapped.meta().clone();
+        let bounds = mapped.jobs().map(|job| job.map(|job| job.bound));
+        let source = tally_source(&meta, bounds, move |count| {
+            let mapped = MappedWorkload::open(&path)?;
+            let jobs = mapped.jobs().take(count);
+            jobs.map(|job| job.map(|job| job.to_spec())).collect()
+        })?;
+        return Ok((meta, source));
+    }
     let mut items = WorkloadItems::open_path(&path)?;
     let meta = items.meta().clone();
+    let bounds = (&mut items).map(|job| job.map(|job| job.bound));
+    let source = tally_source(&meta, bounds, move |count| {
+        WorkloadItems::open_path(&path)?.take(count).collect()
+    })?;
+    Ok((meta, source))
+}
+
+/// Drain a validation pass over a trace's job bounds and wrap `load` — which
+/// decodes the first `count` jobs — as the trace's job source.
+fn tally_source(
+    meta: &WorkloadMeta,
+    bounds: impl Iterator<Item = Result<Bound, TraceError>>,
+    load: impl Fn(usize) -> Result<Vec<JobSpec>, TraceError> + Send + Sync + 'static,
+) -> Result<StreamedWorkload, TraceError> {
     let (mut total, mut deadline_jobs) = (0usize, 0usize);
-    for job in &mut items {
-        let job = job?;
+    for bound in bounds {
         total += 1;
-        if job.bound.is_deadline() {
+        if bound?.is_deadline() {
             deadline_jobs += 1;
         }
     }
-    let source = StreamedWorkload::new(
+    Ok(StreamedWorkload::new(
         meta.profile.clone(),
         total,
         deadline_jobs * 2 > total,
-        move |count| {
-            let items = WorkloadItems::open_path(&path).map_err(|e| e.to_string())?;
-            items
-                .take(count)
-                .map(|job| job.map_err(|e| e.to_string()))
-                .collect()
-        },
-    );
-    Ok((meta, source))
+        move |count| load(count).map_err(|e| e.to_string()),
+    ))
 }
 
 /// Generate a fresh synthetic workload and wrap it as a trace ready to persist.

@@ -113,13 +113,12 @@ pub mod prelude {
         TimeWeighted, TraceSink, VecSink,
     };
     pub use grass_trace::{
-        codec_for, convert_stream, open_workload_source, open_workload_source_mmap,
-        record_workload, replay, replay_config, sniff_bytes, sniff_format, BinaryCodec,
-        BorrowedJob, BorrowedJobs, CompressedCodec, ExecutionEvents, ExecutionMeta, ExecutionTrace,
-        ExecutionTraceSink, MappedWorkload, Record, StreamKind, TextCodec, TraceCodec, TraceError,
-        TraceFormat, TraceItems, TraceReader, TraceStats, TraceWriter, WorkloadItems, WorkloadMeta,
-        WorkloadTrace, WorkloadTraceSink, BINARY_FORMAT_VERSION, COMPRESSED_FORMAT_VERSION,
-        FORMAT_VERSION,
+        codec_for, convert_stream, open_workload_source, record_workload, replay, replay_config,
+        sniff_bytes, sniff_format, BinaryCodec, BorrowedJob, BorrowedJobs, CompressedCodec,
+        ExecutionEvents, ExecutionMeta, ExecutionTrace, ExecutionTraceSink, MappedWorkload, Record,
+        StreamKind, TextCodec, TraceCodec, TraceError, TraceFormat, TraceItems, TraceReader,
+        TraceStats, TraceWriter, WorkloadItems, WorkloadMeta, WorkloadTrace, WorkloadTraceSink,
+        BINARY_FORMAT_VERSION, COMPRESSED_FORMAT_VERSION, FORMAT_VERSION,
     };
     pub use grass_workload::{
         generate, generate_job, ideal_duration, table1_rows, BoundSpec, Framework,
