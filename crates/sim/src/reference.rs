@@ -178,6 +178,7 @@ impl<'a> ReferenceSimulator<'a> {
             spec,
             policy,
             &self.config.estimator,
+            self.mean_slowdown,
             self.now,
             &mut self.rng,
         );

@@ -1,5 +1,5 @@
-//! Per-job runtime state: running copies, completed counters, estimation state and the
-//! construction of the [`TaskView`]s / [`JobOutcome`]s handed to policies.
+//! Per-job runtime state: running copies, completed counters, estimation state, the
+//! maintained [`TaskView`]s handed to policies and the final [`JobOutcome`].
 
 use rand::Rng;
 
@@ -85,6 +85,59 @@ impl TaskRuntime {
             .iter()
             .min_by(|a, b| a.true_remaining(now).total_cmp(&b.true_remaining(now)))
     }
+
+    /// Estimated duration of a fresh copy: ground truth under an oracle
+    /// estimator, otherwise work × observed duration per work × this task's bias.
+    fn tnew(&self, oracle: bool, per_work: f64, cluster_mean_slowdown: f64) -> Time {
+        if oracle {
+            self.spec.work * cluster_mean_slowdown
+        } else {
+            (self.spec.work * per_work * self.tnew_bias).max(1e-6)
+        }
+    }
+
+    /// Write the fields of `view` that depend on this task's running copies and on
+    /// `now`: copy count, elapsed time, progress, progress rate, `trem` and the
+    /// true remaining time. A task without copies gets the idle values.
+    fn write_copy_fields(&self, view: &mut TaskView, now: Time, oracle: bool) {
+        let (running, elapsed, progress, rate, trem, true_rem) = match self.best_copy(now) {
+            Some(best) => {
+                let oldest_start = self
+                    .copies
+                    .iter()
+                    .map(|c| c.start)
+                    .fold(f64::INFINITY, f64::min);
+                let elapsed = (now - oldest_start).max(0.0);
+                let true_rem = best.true_remaining(now);
+                let trem = if oracle {
+                    true_rem
+                } else {
+                    (true_rem * best.rem_bias).max(0.0)
+                };
+                let progress = best.progress(now);
+                let rate = if elapsed > 0.0 {
+                    progress / elapsed
+                } else {
+                    0.0
+                };
+                (
+                    self.copies.len() as u32,
+                    elapsed,
+                    progress,
+                    rate,
+                    trem,
+                    true_rem,
+                )
+            }
+            None => (0, 0.0, 0.0, 0.0, f64::INFINITY, f64::INFINITY),
+        };
+        view.running_copies = running;
+        view.elapsed = elapsed;
+        view.progress = progress;
+        view.progress_rate = rate;
+        view.trem = trem;
+        view.true_remaining = true_rem;
+    }
 }
 
 /// What happened when a copy-finish event was applied to a job.
@@ -136,8 +189,11 @@ pub struct JobRuntime {
     /// Effective deadline for the input stage (deadline-bound jobs only), relative to
     /// arrival.
     pub input_deadline: Option<Time>,
-    /// Completed copy durations normalised by task work, used to estimate `tnew`.
-    pub duration_per_work: Vec<f64>,
+    /// Sum of completed copy durations normalised by task work, in completion
+    /// order; with `duration_per_work_count` it gives the `tnew` estimate in O(1).
+    duration_per_work_sum: f64,
+    /// Number of terms in `duration_per_work_sum`.
+    duration_per_work_count: usize,
     /// Measured estimation accuracy.
     pub accuracy: AccuracyTracker,
     /// Time-weighted allocated-slot count.
@@ -157,14 +213,32 @@ pub struct JobRuntime {
     /// the simulator's lazy stats catch-up). Unused by the frozen reference
     /// engine.
     pub stats_cursor: usize,
+    /// Estimator noise model and cluster mean slowdown the views are built with.
+    estimator: EstimatorConfig,
+    cluster_mean_slowdown: f64,
+    /// The [`TaskView`] of every unfinished task, in task order, maintained as
+    /// the job changes: a launch updates one entry, a completion removes one and
+    /// refreshes `tnew` and `eligible`, and [`refresh_views`](Self::refresh_views)
+    /// brings the running entries up to a new `now`. Equal to
+    /// [`build_task_views`](Self::build_task_views) after every refresh.
+    pub(crate) views: Vec<TaskView>,
+    /// Positions in `views` of the entries with running copies, in no order.
+    running_views: Vec<usize>,
+    /// The `now` of the last refresh. Every running entry is current at it,
+    /// except entries launched later, which the next refresh covers because
+    /// time only moves forward.
+    views_at: Time,
 }
 
 impl JobRuntime {
-    /// Create the runtime state for a job at its arrival.
+    /// Create the runtime state for a job at its arrival. The task views are
+    /// estimated with `estimator` on a cluster of mean slowdown
+    /// `cluster_mean_slowdown`.
     pub fn new<R: Rng + ?Sized>(
         spec: JobSpec,
         policy: BoxedPolicy,
         estimator: &EstimatorConfig,
+        cluster_mean_slowdown: f64,
         now: Time,
         rng: &mut R,
     ) -> Self {
@@ -183,7 +257,7 @@ impl JobRuntime {
         let stages = spec.stages.len();
         let prior_accuracy = estimator.nominal_accuracy();
         let unfinished = tasks.len();
-        JobRuntime {
+        let mut job = JobRuntime {
             spec,
             policy,
             tasks,
@@ -193,7 +267,8 @@ impl JobRuntime {
             killed_copies: 0,
             slot_seconds: 0.0,
             input_deadline: None,
-            duration_per_work: Vec::new(),
+            duration_per_work_sum: 0.0,
+            duration_per_work_count: 0,
             accuracy: AccuracyTracker::new(prior_accuracy),
             wave_width_stat: TimeWeighted::new(now, 0.0),
             util_stat: TimeWeighted::new(now, 0.0),
@@ -201,7 +276,16 @@ impl JobRuntime {
             done: false,
             unfinished,
             stats_cursor: 0,
-        }
+            estimator: *estimator,
+            cluster_mean_slowdown,
+            views: Vec::new(),
+            running_views: Vec::new(),
+            views_at: now,
+        };
+        let mut views = Vec::with_capacity(job.tasks.len());
+        job.build_task_views_into(now, estimator, cluster_mean_slowdown, &mut views);
+        job.views = views;
+        job
     }
 
     /// Number of input-stage tasks required for this job's bound.
@@ -259,10 +343,10 @@ impl JobRuntime {
     /// copy durations normalised by work, falling back to the cluster's mean slowdown
     /// before any completions.
     pub fn duration_per_work_estimate(&self, cluster_mean_slowdown: f64) -> f64 {
-        if self.duration_per_work.is_empty() {
+        if self.duration_per_work_count == 0 {
             cluster_mean_slowdown
         } else {
-            self.duration_per_work.iter().sum::<f64>() / self.duration_per_work.len() as f64
+            self.duration_per_work_sum / self.duration_per_work_count as f64
         }
     }
 
@@ -279,9 +363,9 @@ impl JobRuntime {
     }
 
     /// Build the [`TaskView`]s for every unfinished task into a caller-provided
-    /// buffer, clearing it first. The simulator reuses one scratch buffer across all
-    /// slot-free events instead of allocating a fresh `Vec` per decision (a measured
-    /// hot path: one allocation per event at thousands of events per run).
+    /// buffer, clearing it first. The frozen reference engine builds the views of
+    /// every consult this way; the live engine reads the maintained views and
+    /// uses a full build only as their debug-build oracle.
     pub fn build_task_views_into(
         &self,
         now: Time,
@@ -295,59 +379,59 @@ impl JobRuntime {
             if task.finished {
                 continue;
             }
-            let eligible = self.stage_eligible(task.spec.stage.value() as usize);
-            let true_new_hint = task.spec.work * cluster_mean_slowdown;
-            let tnew = if estimator.oracle {
-                true_new_hint
-            } else {
-                (task.spec.work * per_work * task.tnew_bias).max(1e-6)
-            };
-            let (running, elapsed, progress, rate, trem, true_rem) = match task.best_copy(now) {
-                Some(best) => {
-                    let oldest_start = task
-                        .copies
-                        .iter()
-                        .map(|c| c.start)
-                        .fold(f64::INFINITY, f64::min);
-                    let elapsed = (now - oldest_start).max(0.0);
-                    let true_rem = best.true_remaining(now);
-                    let trem = if estimator.oracle {
-                        true_rem
-                    } else {
-                        (true_rem * best.rem_bias).max(0.0)
-                    };
-                    let progress = best.progress(now);
-                    let rate = if elapsed > 0.0 {
-                        progress / elapsed
-                    } else {
-                        0.0
-                    };
-                    (
-                        task.copies.len() as u32,
-                        elapsed,
-                        progress,
-                        rate,
-                        trem,
-                        true_rem,
-                    )
-                }
-                None => (0, 0.0, 0.0, 0.0, f64::INFINITY, f64::INFINITY),
-            };
-            views.push(TaskView {
+            let mut view = TaskView {
                 id: TaskId(idx as u32),
                 stage: task.spec.stage,
-                eligible,
-                running_copies: running,
-                elapsed,
-                progress,
-                progress_rate: rate,
-                trem,
-                tnew,
-                true_remaining: true_rem,
-                true_new_hint,
+                eligible: self.stage_eligible(task.spec.stage.value() as usize),
+                running_copies: 0,
+                elapsed: 0.0,
+                progress: 0.0,
+                progress_rate: 0.0,
+                trem: f64::INFINITY,
+                tnew: task.tnew(estimator.oracle, per_work, cluster_mean_slowdown),
+                true_remaining: f64::INFINITY,
+                true_new_hint: task.spec.work * cluster_mean_slowdown,
                 work: task.spec.work,
-            });
+            };
+            task.write_copy_fields(&mut view, now, estimator.oracle);
+            views.push(view);
         }
+    }
+
+    /// Bring the maintained views up to `now`: only the running entries have
+    /// time-dependent fields, so this is O(running tasks), not O(tasks), and
+    /// nothing when the views were already refreshed at `now`. Debug builds
+    /// check the result against a full [`build_task_views`](Self::build_task_views).
+    pub(crate) fn refresh_views(&mut self, now: Time) {
+        if self.views_at != now {
+            let oracle = self.estimator.oracle;
+            for &pos in &self.running_views {
+                let Some(view) = self.views.get_mut(pos) else {
+                    continue;
+                };
+                if let Some(task) = self.tasks.get(view.id.index()) {
+                    task.write_copy_fields(view, now, oracle);
+                }
+            }
+            self.views_at = now;
+        }
+        debug_assert_eq!(
+            self.views,
+            self.build_task_views(now, &self.estimator, self.cluster_mean_slowdown),
+            "maintained task views diverged from a full rebuild"
+        );
+    }
+
+    /// Drop the maintained views once the job is finalised, so view memory
+    /// tracks live jobs only.
+    pub(crate) fn release_views(&mut self) {
+        self.views = Vec::new();
+        self.running_views = Vec::new();
+    }
+
+    /// Position of `task`'s entry in the maintained views, if it is unfinished.
+    fn view_position(&self, task: TaskId) -> Option<usize> {
+        self.views.binary_search_by_key(&task, |v| v.id).ok()
     }
 
     /// Record the launch of a copy of `task` on `slot`.
@@ -384,6 +468,14 @@ impl JobRuntime {
             self.speculative_copies += 1;
         }
         self.allocated_slots += 1;
+        if let Some(pos) = self.view_position(task) {
+            if let (Some(view), Some(t)) = (self.views.get_mut(pos), self.tasks.get(task.index())) {
+                if view.running_copies == 0 {
+                    self.running_views.push(pos);
+                }
+                t.write_copy_fields(view, now, self.estimator.oracle);
+            }
+        }
     }
 
     /// Apply a copy-finish event. Marks the task finished, kills sibling copies, and
@@ -442,11 +534,42 @@ impl JobRuntime {
         // grass: allow(panicky-lib, "stage comes from this task's spec; completed_per_stage is sized from spec.stages")
         self.completed_per_stage[stage] += 1;
         if work > 0.0 && actual > 0.0 {
-            self.duration_per_work.push(actual / work);
+            self.duration_per_work_sum += actual / work;
+            self.duration_per_work_count += 1;
             // What the estimator believed versus what happened, folded into the
             // measured-accuracy signal GRASS consumes.
             self.accuracy.record(actual * rem_bias, actual);
             self.accuracy.record(work * tnew_bias, actual);
+        }
+        self.remove_view(task, stage);
+    }
+
+    /// Drop the finished `task`'s view (of DAG stage `stage`) and refresh what a
+    /// completion changes in the others: `tnew` (one more observed duration) and
+    /// `eligible` (the completion may unlock the next stage).
+    fn remove_view(&mut self, task: TaskId, stage: usize) {
+        if let Some(pos) = self.view_position(task) {
+            self.views.remove(pos);
+            self.running_views.retain(|&p| p != pos);
+            for p in &mut self.running_views {
+                if *p > pos {
+                    *p -= 1;
+                }
+            }
+        }
+        // Stages unlock in order and never lock again, so only the stage after
+        // the finished task's can change eligibility here.
+        let next_stage = stage + 1;
+        let unlocked = next_stage < self.spec.stages.len() && self.stage_eligible(next_stage);
+        let oracle = self.estimator.oracle;
+        let per_work = self.duration_per_work_estimate(self.cluster_mean_slowdown);
+        for view in &mut self.views {
+            if unlocked && view.stage.value() as usize == next_stage {
+                view.eligible = true;
+            }
+            if let Some(t) = self.tasks.get(view.id.index()) {
+                view.tnew = t.tnew(oracle, per_work, self.cluster_mean_slowdown);
+            }
         }
     }
 
@@ -463,6 +586,14 @@ impl JobRuntime {
             }
         }
         self.allocated_slots = self.allocated_slots.saturating_sub(freed.len());
+        for pos in self.running_views.drain(..) {
+            let Some(view) = self.views.get_mut(pos) else {
+                continue;
+            };
+            if let Some(t) = self.tasks.get(view.id.index()) {
+                t.write_copy_fields(view, now, self.estimator.oracle);
+            }
+        }
         freed
     }
 
@@ -501,6 +632,7 @@ impl JobRuntime {
 mod tests {
     use super::*;
     use grass_core::{Action, JobView, SpeculationPolicy, StageId};
+    use proptest::prop_assert;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -521,6 +653,7 @@ mod tests {
             spec,
             Box::new(Noop),
             &EstimatorConfig::oracle(),
+            1.0,
             0.0,
             &mut rng,
         )
@@ -647,6 +780,7 @@ mod tests {
             spec,
             Box::new(Noop),
             &EstimatorConfig::oracle(),
+            1.0,
             0.0,
             &mut rng,
         );
@@ -699,7 +833,7 @@ mod tests {
         let spec = JobSpec::single_stage(1, 0.0, Bound::EXACT, vec![5.0; 50]);
         let mut rng = StdRng::seed_from_u64(10);
         let est = EstimatorConfig::with_accuracy(0.6);
-        let mut rt = JobRuntime::new(spec, Box::new(Noop), &est, 0.0, &mut rng);
+        let mut rt = JobRuntime::new(spec, Box::new(Noop), &est, 1.0, 0.0, &mut rng);
         rt.launch_copy(TaskId(0), 1, slot(0), 0.0, 5.0, &est, &mut rng);
         let views = rt.build_task_views(1.0, &est, 1.0);
         let mut any_differs = false;
@@ -716,5 +850,170 @@ mod tests {
             }
         }
         assert!(any_differs, "noisy estimator produced only exact estimates");
+    }
+
+    /// Refresh the maintained views at `now` and require them to equal a full
+    /// rebuild.
+    fn assert_views_match(rt: &mut JobRuntime, now: Time, est: &EstimatorConfig, slowdown: f64) {
+        rt.refresh_views(now);
+        assert_eq!(
+            rt.views,
+            rt.build_task_views(now, est, slowdown),
+            "at t = {now}"
+        );
+    }
+
+    #[test]
+    fn best_copy_ties_match_a_full_rebuild() {
+        // Two copies that end at the same time tie on remaining time, and the
+        // view reports the first one: progress 2/4, not the second copy's 1/3.
+        let est = EstimatorConfig::with_accuracy(0.6);
+        let spec = JobSpec::single_stage(1, 0.0, Bound::EXACT, vec![2.0, 2.0]);
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut rt = JobRuntime::new(spec, Box::new(Noop), &est, 1.5, 0.0, &mut rng);
+        rt.launch_copy(TaskId(0), 1, slot(0), 0.0, 4.0, &est, &mut rng);
+        assert_views_match(&mut rt, 1.0, &est, 1.5);
+        rt.launch_copy(TaskId(0), 2, slot(1), 1.0, 3.0, &est, &mut rng);
+        assert_views_match(&mut rt, 1.0, &est, 1.5);
+        assert_views_match(&mut rt, 2.0, &est, 1.5);
+        assert_eq!(rt.views[0].progress, 0.5);
+        assert_eq!(rt.views[0].running_copies, 2);
+        // t = 4: both copies end exactly now, so remaining time clamps to zero.
+        assert_views_match(&mut rt, 4.0, &est, 1.5);
+        assert_eq!(rt.views[0].true_remaining, 0.0);
+        assert_eq!(rt.views[0].trem, 0.0);
+    }
+
+    /// Random job for the view-maintenance property: deadline or error bound,
+    /// one stage or a three-stage DAG.
+    fn random_job(rng: &mut StdRng, deadline: bool, dag: bool) -> JobSpec {
+        let bound = if deadline {
+            Bound::Deadline(rng.gen_range(5.0..50.0))
+        } else {
+            Bound::Error(rng.gen_range(0.0..0.6))
+        };
+        let stages = if dag { 3 } else { 1 };
+        let work = (0..stages)
+            .map(|_| {
+                let n = rng.gen_range(1..12);
+                (0..n).map(|_| rng.gen_range(0.2..4.0)).collect()
+            })
+            .collect();
+        JobSpec::multi_stage(1, 0.0, bound, work)
+    }
+
+    /// Every running copy of the job as `(task, copy id, end time)`.
+    fn running_copies(rt: &JobRuntime) -> Vec<(TaskId, CopyId, Time)> {
+        rt.tasks
+            .iter()
+            .enumerate()
+            .flat_map(|(i, t)| {
+                t.copies
+                    .iter()
+                    .map(move |c| (TaskId(i as u32), c.id, c.start + c.duration))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 96,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// The maintained views equal a full rebuild after every launch,
+        /// speculative launch, copy finish (with sibling kills and stage
+        /// unlocks), stale finish, `kill_all_copies` and clock step.
+        #[test]
+        fn maintained_views_match_a_full_rebuild(
+            seed in proptest::any::<u64>(),
+            deadline in proptest::any::<bool>(),
+            dag in proptest::any::<bool>(),
+            oracle in proptest::any::<bool>(),
+            steps in 1usize..150,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let est = if oracle {
+                EstimatorConfig::oracle()
+            } else {
+                EstimatorConfig::with_accuracy(rng.gen_range(0.3..0.95))
+            };
+            let slowdown = rng.gen_range(0.5..3.0);
+            let spec = random_job(&mut rng, deadline, dag);
+            let mut rt = JobRuntime::new(spec, Box::new(Noop), &est, slowdown, 0.0, &mut rng);
+            let mut now = 0.0;
+            let mut next_copy = 0;
+            assert_views_match(&mut rt, now, &est, slowdown);
+            for _ in 0..steps {
+                let running = running_copies(&rt);
+                match rng.gen_range(0..10) {
+                    // Launch a first copy of an idle, eligible task.
+                    0..=2 => {
+                        let idle: Vec<TaskId> = rt
+                            .tasks
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, t)| {
+                                !t.finished
+                                    && t.copies.is_empty()
+                                    && rt.stage_eligible(t.spec.stage.value() as usize)
+                            })
+                            .map(|(i, _)| TaskId(i as u32))
+                            .collect();
+                        if !idle.is_empty() {
+                            let task = idle[rng.gen_range(0..idle.len())];
+                            let duration = rng.gen_range(0.5..8.0);
+                            next_copy += 1;
+                            rt.launch_copy(task, next_copy, slot(0), now, duration, &est, &mut rng);
+                        }
+                    }
+                    // Speculate on a running task.
+                    3 => {
+                        if !running.is_empty() {
+                            let (task, _, end) = running[rng.gen_range(0..running.len())];
+                            // Half the time the new copy ends exactly when an
+                            // existing one does.
+                            let duration = if rng.gen_bool(0.5) && end > now {
+                                end - now
+                            } else {
+                                rng.gen_range(0.5..8.0)
+                            };
+                            next_copy += 1;
+                            rt.launch_copy(task, next_copy, slot(1), now, duration, &est, &mut rng);
+                        }
+                    }
+                    // Finish the earliest-ending copy at its end time (killing
+                    // its siblings; the completion may unlock the next stage).
+                    4 | 5 => {
+                        if let Some(&(task, copy, end)) =
+                            running.iter().min_by(|a, b| a.2.total_cmp(&b.2))
+                        {
+                            now = f64::max(now, end);
+                            rt.complete_copy(task, copy, now);
+                        }
+                    }
+                    // A stale finish: no copy has this id.
+                    6 => {
+                        let task = TaskId(rng.gen_range(0..rt.tasks.len()) as u32);
+                        let effect = rt.complete_copy(task, next_copy + 1, now);
+                        prop_assert!(effect.stale);
+                    }
+                    // Step the clock to a copy's end time: a tie where that
+                    // copy's remaining time clamps to zero.
+                    7 => {
+                        if !running.is_empty() {
+                            now = f64::max(now, running[rng.gen_range(0..running.len())].2);
+                        }
+                    }
+                    8 => now += rng.gen_range(0.0..2.0),
+                    _ => {
+                        if rng.gen_bool(0.2) {
+                            rt.kill_all_copies(now);
+                        }
+                    }
+                }
+                assert_views_match(&mut rt, now, &est, slowdown);
+            }
+        }
     }
 }

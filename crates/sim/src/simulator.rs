@@ -143,9 +143,9 @@ pub fn run_simulation_traced(
 
 /// The indexed discrete-event engine.
 ///
-/// Three indexes keep per-event work proportional to the *affected* state
-/// rather than to every live job (the pre-refactor engine, preserved verbatim
-/// in [`crate::reference`], rescanned all of them per event):
+/// Four structures keep per-event work proportional to the *affected* state
+/// rather than to every live job or task (the pre-refactor engine, preserved
+/// verbatim in [`crate::reference`], rescanned all of them per event):
 ///
 /// * `free_slots` — a [`SlotPool`]: the same LIFO allocation order as before
 ///   (slot identity feeds the trace and copy durations) plus per-machine free
@@ -168,14 +168,18 @@ pub fn run_simulation_traced(
 ///   deferred replay applies bit-identical `update_stats(t, u)` calls in the
 ///   original order — same floats, batched into cache-friendly runs, with no
 ///   hash lookups or full-population walks per event.
+/// * per-job task views — each [`JobRuntime`] keeps the `TaskView`s of its
+///   unfinished tasks alive between consults. A launch updates one entry and a
+///   completion removes one (refreshing `tnew` and `eligible` in the rest), so a
+///   policy consult only brings the running entries up to `now`: O(running
+///   tasks) instead of O(tasks), and nothing at all when the job was already
+///   refreshed at this `now`. Debug builds check every consult against a full
+///   rebuild. Finalisation drops a job's views, so their memory tracks live
+///   jobs only.
 struct Simulator<'a> {
     config: SimConfig,
     factory: &'a dyn PolicyFactory,
     sink: &'a mut dyn TraceSink,
-    /// Scratch buffer reused for every `TaskView` snapshot (hot path: one snapshot
-    /// per slot-free event; rebuilding the `Vec` from scratch each time showed up in
-    /// `microbench/simulator`).
-    view_scratch: Vec<grass_core::TaskView>,
     /// Scratch completion effect reused across copy-finish events (retires the
     /// two per-event `Vec` allocations of the slot-free path).
     effect_scratch: CompletionEffect,
@@ -235,7 +239,6 @@ impl<'a> Simulator<'a> {
             config,
             factory,
             sink,
-            view_scratch: Vec::new(),
             effect_scratch: CompletionEffect::default(),
             machines,
             free_slots,
@@ -360,6 +363,7 @@ impl<'a> Simulator<'a> {
             spec,
             policy,
             &self.config.estimator,
+            self.mean_slowdown,
             self.now,
             &mut self.rng,
         );
@@ -381,24 +385,15 @@ impl<'a> Simulator<'a> {
         }
 
         // Let the policy observe the job's initial state.
-        {
-            let mut views = std::mem::take(&mut self.view_scratch);
-            runtime.build_task_views_into(
-                self.now,
-                &self.config.estimator,
-                self.mean_slowdown,
-                &mut views,
-            );
-            let view = Self::job_view(
-                &runtime,
-                &views,
-                self.now,
-                self.fair_share(),
-                self.utilization(),
-            );
-            runtime.policy.on_job_start(&view);
-            self.view_scratch = views;
-        }
+        runtime.refresh_views(self.now);
+        let view = Self::job_view(
+            &runtime,
+            &runtime.views,
+            self.now,
+            self.fair_share(),
+            self.utilization(),
+        );
+        runtime.policy.on_job_start(&view);
 
         // The job consumes settle entries only from its arrival onwards (the
         // eager engine never updated jobs that had not arrived yet).
@@ -449,10 +444,9 @@ impl<'a> Simulator<'a> {
         // (the entries must see the pre-completion allocation and accuracy).
         Self::catch_up_job(&self.timeline, self.timeline_base, job);
         let alloc_before = job.allocated_slots;
-        let mut effect = std::mem::take(&mut self.effect_scratch);
-        job.complete_copy_into(task, copy, self.now, &mut effect);
+        let effect = &mut self.effect_scratch;
+        job.complete_copy_into(task, copy, self.now, effect);
         if effect.stale {
-            self.effect_scratch = effect;
             return;
         }
         self.sink.record(&SimTraceEvent::CopyFinish {
@@ -482,21 +476,13 @@ impl<'a> Simulator<'a> {
         job.update_stats(self.now, util);
 
         if effect.task_completed {
-            let mut views = std::mem::take(&mut self.view_scratch);
-            job.build_task_views_into(
-                self.now,
-                &self.config.estimator,
-                self.mean_slowdown,
-                &mut views,
-            );
-            let view = Self::job_view(job, &views, self.now, fair, util);
+            job.refresh_views(self.now);
+            let view = Self::job_view(job, &job.views, self.now, fair, util);
             job.policy.on_task_complete(&view, task);
-            self.view_scratch = views;
         }
 
         // Error-bound jobs finish the moment their bound is satisfied.
         let satisfied = job.spec.bound.is_error() && job.bound_satisfied();
-        self.effect_scratch = effect;
         if satisfied {
             self.finalize_job(job_id);
         }
@@ -523,6 +509,7 @@ impl<'a> Simulator<'a> {
         Self::catch_up_job(&self.timeline, self.timeline_base, job);
         self.candidates.remove(&(job.allocated_slots, id.0));
         let freed = job.kill_all_copies(self.now);
+        job.release_views();
         for &(task, copy, slot) in &freed {
             self.sink.record(&SimTraceEvent::CopyKill {
                 time: self.now,
@@ -608,7 +595,7 @@ impl<'a> Simulator<'a> {
                 };
                 cursor = Some(key);
                 self.stats.job_touches += 1;
-                if self.try_launch_for(JobId(key.1), fair, util) {
+                if self.try_launch(JobId(key.1), fair, util) {
                     launched = true;
                     break;
                 }
@@ -626,21 +613,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Offer one free slot to `job_id`. Returns true if a copy was launched.
-    fn try_launch_for(&mut self, job_id: JobId, fair_share: usize, utilization: f64) -> bool {
-        let mut views = std::mem::take(&mut self.view_scratch);
-        let launched = self.try_launch_with_views(job_id, fair_share, utilization, &mut views);
-        self.view_scratch = views;
-        launched
-    }
-
-    fn try_launch_with_views(
-        &mut self,
-        job_id: JobId,
-        fair_share: usize,
-        utilization: f64,
-        views: &mut Vec<grass_core::TaskView>,
-    ) -> bool {
-        let mean_slowdown = self.mean_slowdown;
+    fn try_launch(&mut self, job_id: JobId, fair_share: usize, utilization: f64) -> bool {
         let estimator = self.config.estimator;
         let Some(job) = self.running.get_mut(&job_id) else {
             return false;
@@ -648,11 +621,11 @@ impl<'a> Simulator<'a> {
         // A launch mutates `allocated_slots`; pending settle entries must be
         // folded in against the pre-launch value first.
         Self::catch_up_job(&self.timeline, self.timeline_base, job);
-        job.build_task_views_into(self.now, &estimator, mean_slowdown, views);
-        if views.is_empty() {
+        if job.views.is_empty() {
             return false;
         }
-        let view = Self::job_view(job, views, self.now, fair_share, utilization);
+        job.refresh_views(self.now);
+        let view = Self::job_view(job, &job.views, self.now, fair_share, utilization);
         self.stats.policy_consultations += 1;
         let Some(action) = job.policy.choose(&view) else {
             return false;
