@@ -159,14 +159,18 @@ impl GrassPolicy {
         self.switched
     }
 
+    /// Whether a consult at `now` re-evaluates the RAS→GS switch: no check has
+    /// run yet, or `check_interval` has passed since the last one. Forced and
+    /// switched jobs never run the check, whatever this returns.
+    fn switch_check_due(&self, now: Time) -> bool {
+        !self
+            .last_check
+            .is_some_and(|last| now - last < self.config.check_interval)
+    }
+
     fn maybe_switch(&mut self, view: &JobView) {
-        if self.switched || self.forced.is_some() {
+        if self.switched || self.forced.is_some() || !self.switch_check_due(view.now) {
             return;
-        }
-        if let Some(last) = self.last_check {
-            if view.now - last < self.config.check_interval {
-                return;
-            }
         }
         self.last_check = Some(view.now);
         let decision = match self.config.strategy {
@@ -205,6 +209,14 @@ impl SpeculationPolicy for GrassPolicy {
         }
         self.maybe_switch(view);
         choose(view, self.mode)
+    }
+
+    /// A forced or switched job runs plain GS or RAS, whose declines hold until
+    /// the job changes (see [`choose`]). Otherwise the mode is fixed until the
+    /// next switch check, so a decline holds while no check is due; the first
+    /// offer at which one is due is consulted, and that consult runs the check.
+    fn decline_holds(&self, _declined_at: Time, now: Time) -> bool {
+        self.forced.is_some() || self.switched || !self.switch_check_due(now)
     }
 
     fn on_job_complete(&mut self, outcome: &JobOutcome) {
@@ -405,6 +417,63 @@ mod tests {
             !policy.has_switched(),
             "re-evaluated before the check interval elapsed"
         );
+    }
+
+    #[test]
+    fn switch_check_is_due_at_exactly_last_check_plus_interval() {
+        let config = GrassConfig {
+            check_interval: 1.0,
+            ..GrassConfig::strawman()
+        };
+        let mut policy = GrassPolicy::new(config, Arc::new(SampleStore::new()), None);
+        assert!(policy.switch_check_due(0.0), "no check has run yet");
+        let tasks: Vec<TaskView> = (0..10).map(|i| unscheduled(i, 4.0)).collect();
+        policy.choose(&deadline_view(&tasks, 0.25, 100.0));
+        assert!(!policy.has_switched());
+        assert!(!policy.switch_check_due(0.25));
+        assert!(!policy.switch_check_due(1.2));
+        assert!(policy.decline_holds(0.25, 1.2));
+        // 1.25 − 0.25 is exactly the interval: the check is due, so a decline made
+        // before it no longer holds.
+        assert!(policy.switch_check_due(1.25));
+        assert!(!policy.decline_holds(0.25, 1.25));
+        assert!(!policy.decline_holds(0.25, 7.0));
+    }
+
+    #[test]
+    fn zero_check_interval_never_reuses_a_decline() {
+        let config = GrassConfig {
+            check_interval: 0.0,
+            ..GrassConfig::strawman()
+        };
+        let mut policy = GrassPolicy::new(config, Arc::new(SampleStore::new()), None);
+        let tasks: Vec<TaskView> = (0..10).map(|i| unscheduled(i, 4.0)).collect();
+        policy.choose(&deadline_view(&tasks, 3.0, 100.0));
+        assert!(!policy.has_switched());
+        assert!(policy.switch_check_due(3.0));
+        assert!(!policy.decline_holds(3.0, 3.0));
+        assert!(!policy.decline_holds(3.0, 4.0));
+    }
+
+    #[test]
+    fn forced_and_switched_jobs_always_reuse_a_decline() {
+        for forced in [SpeculationMode::Gs, SpeculationMode::Ras] {
+            let policy = GrassPolicy::new(
+                GrassConfig::paper_default(),
+                Arc::new(SampleStore::new()),
+                Some(forced),
+            );
+            assert!(policy.switch_check_due(0.0));
+            assert!(policy.decline_holds(0.0, 0.0));
+            assert!(policy.decline_holds(0.0, 1e6));
+        }
+        let mut policy =
+            GrassPolicy::new(GrassConfig::strawman(), Arc::new(SampleStore::new()), None);
+        let tasks: Vec<TaskView> = (0..10).map(|i| unscheduled(i, 4.0)).collect();
+        policy.choose(&deadline_view(&tasks, 94.0, 100.0));
+        assert!(policy.has_switched());
+        assert!(policy.switch_check_due(1e6));
+        assert!(policy.decline_holds(94.0, 1e6));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::job::{JobSpec, JobView};
 use crate::outcome::JobOutcome;
-use crate::task::TaskId;
+use crate::task::{TaskId, Time};
 
 /// What kind of copy an action launches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +53,25 @@ impl Action {
 /// This is the interface GS, RAS, GRASS, LATE, Mantri and the oracle all implement.
 /// One policy instance is created per job (via a [`PolicyFactory`]), so policies are
 /// free to keep per-job state (GRASS keeps its current mode and switch bookkeeping).
+///
+/// # Standing declines
+///
+/// Most offers are declined, and most declines repeat: a job that had nothing to run
+/// on the last free slot usually has nothing to run on the next one either. A policy
+/// can say so through [`decline_holds`](Self::decline_holds), and the simulator then
+/// answers the offer with `None` itself instead of calling [`choose`](Self::choose).
+/// The simulator asks only when the job's [`JobView`] is unchanged since the `None`
+/// returned at `declined_at`, apart from
+///
+/// * `now` and `cluster_utilization`, and
+/// * the time-driven fields of running tasks: `elapsed`, `progress`,
+///   `progress_rate`, `trem` and `true_remaining`,
+///
+/// and when no other hook of the policy has been called since. In particular no copy
+/// of the job was launched, finished or killed, and its `wave_width` is the same.
+/// Returning `true` promises that `choose` would return `None` again on such a view
+/// and would change no policy state. The default returns `false`, so a policy that
+/// does not implement the hook is consulted on every offer.
 pub trait SpeculationPolicy: Send {
     /// Short, stable policy name used in reports ("GRASS", "GS", "RAS", "LATE", …).
     fn name(&self) -> &str;
@@ -64,6 +83,13 @@ pub trait SpeculationPolicy: Send {
     /// run one more copy, or `None` if the job has nothing useful to run right now
     /// (the slot is then offered to other jobs).
     fn choose(&mut self, view: &JobView) -> Option<Action>;
+
+    /// Whether the `None` this policy returned at `declined_at` still holds at `now`
+    /// (`now >= declined_at`), under the contract in the trait docs. `false`, the
+    /// default, means "consult me again".
+    fn decline_holds(&self, _declined_at: Time, _now: Time) -> bool {
+        false
+    }
 
     /// Called when one of the job's tasks completes (its first copy finishes).
     fn on_task_complete(&mut self, _view: &JobView, _task: TaskId) {}
@@ -142,6 +168,12 @@ mod tests {
         assert!(!a.is_speculative());
         let s = Action::speculate(TaskId(2));
         assert!(s.is_speculative());
+    }
+
+    #[test]
+    fn policies_are_consulted_on_every_offer_by_default() {
+        assert!(!Noop.decline_holds(0.0, 0.0));
+        assert!(!Noop.decline_holds(1.0, 2.0));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::job::{Bound, JobSpec, JobView};
 use crate::policy::{Action, BoxedPolicy, PolicyFactory, SpeculationPolicy};
-use crate::task::{TaskId, TaskView};
+use crate::task::{TaskId, TaskView, Time};
 
 /// Which of the two building-block algorithms to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -56,6 +56,33 @@ pub const MAX_COPIES_PER_TASK: u32 = 3;
 /// Runs in time linear in the number of tasks and, once a thread has seen its largest
 /// job, without heap allocation: both pseudocodes are evaluated in one pass over the
 /// view, and the error-bound `(1 − ε)` cut is an order-statistic selection, not a sort.
+///
+/// # A decline holds until the job changes
+///
+/// If `choose` returns `None` at time `t`, it returns `None` at every later `t'` on
+/// the same job in the same mode, as long as only the time-driven fields move (the
+/// [`SpeculationPolicy`] standing-decline contract). As time advances, `tnew`,
+/// eligibility, copy counts and `wave_width` stay fixed, and `trem` of a running task
+/// can only fall: the best copy keeps its bias and its remaining time shrinks. (The
+/// one exception is a rounding tie: two copies whose end times differ by a few ulps
+/// can round to the same remaining time, and the tie may hand "best" to a copy with
+/// a larger bias. A run in which such a tie turned a decline into an accept would
+/// fail the simulator's debug check, which re-consults every reused decline, and
+/// differ from the reference engine, which consults every offer.) So:
+///
+/// * Deadline pruning (`tnew > remaining`) only drops more tasks, because the time
+///   left to the deadline shrinks.
+/// * An admissible copy needs `tnew < trem` (GS) or `c·trem > (c+1)·tnew` (RAS).
+///   Either test can only turn from true to false as `trem` falls.
+/// * The error-bound needed set holds the `still_needed` smallest effective
+///   durations `min(trem, tnew)`, and `still_needed` is fixed. Only running tasks'
+///   keys move, and they only fall, so no idle task can enter the set. A running
+///   task that enters it and admits a copy at `t'` has `trem(t') > tnew`, so its key
+///   was `tnew` at `t` as well. It was outside the set then, and the keys ahead of
+///   it have not grown, so it is still outside.
+///
+/// Nothing that was pruned or inadmissible at `t` becomes a candidate at `t'`, and
+/// the selection stage returns `None` exactly when there is no candidate.
 pub fn choose(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     match view.bound {
         Bound::Deadline(_) => choose_deadline(view, mode),
@@ -289,6 +316,11 @@ impl SpeculationPolicy for GsPolicy {
     fn choose(&mut self, view: &JobView) -> Option<Action> {
         choose(view, SpeculationMode::Gs)
     }
+
+    /// A decline holds until the job changes (see [`choose`]).
+    fn decline_holds(&self, _declined_at: Time, _now: Time) -> bool {
+        true
+    }
 }
 
 /// Resource Aware Speculative scheduling as a standalone per-job policy ("RAS-only").
@@ -302,6 +334,11 @@ impl SpeculationPolicy for RasPolicy {
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
         choose(view, SpeculationMode::Ras)
+    }
+
+    /// A decline holds until the job changes (see [`choose`]).
+    fn decline_holds(&self, _declined_at: Time, _now: Time) -> bool {
+        true
     }
 }
 

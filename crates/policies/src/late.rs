@@ -14,7 +14,7 @@
 //!   speculative copies is capped at `speculative_cap` × the job's wave width.
 
 use grass_core::{
-    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView,
+    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView, Time,
 };
 use serde::{Deserialize, Serialize};
 
@@ -120,6 +120,13 @@ impl SpeculationPolicy for LatePolicy {
         }
         self.speculation_candidate(view)
             .map(|t| Action::speculate(t.id))
+    }
+
+    /// A decline holds only within the instant it was made: as time passes, copies
+    /// cross `min_progress` and the slow-rate cutoff moves, so either can turn a
+    /// task into a speculation candidate.
+    fn decline_holds(&self, declined_at: Time, now: Time) -> bool {
+        now == declined_at
     }
 }
 

@@ -10,7 +10,7 @@
 //! unscheduled work FIFO with no awareness of the job's approximation bound.
 
 use grass_core::{
-    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView,
+    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView, Time,
 };
 use serde::{Deserialize, Serialize};
 
@@ -79,6 +79,12 @@ impl SpeculationPolicy for MantriPolicy {
             .filter(|t| !t.is_running())
             .min_by_key(|t| t.id)
             .map(|t| Action::launch(t.id))
+    }
+
+    /// A decline holds only within the instant it was made: as time passes, a
+    /// running copy can cross `min_progress` and become a duplicate candidate.
+    fn decline_holds(&self, declined_at: Time, now: Time) -> bool {
+        now == declined_at
     }
 }
 

@@ -7,7 +7,7 @@
 //! awareness on top of GS.
 
 use grass_core::{
-    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView,
+    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView, Time,
 };
 
 /// Launch unscheduled tasks in task-id (FIFO) order; never speculate.
@@ -24,6 +24,12 @@ impl SpeculationPolicy for NoSpecPolicy {
             .filter(|t| !t.is_running())
             .min_by_key(|t| t.id)
             .map(|t| Action::launch(t.id))
+    }
+
+    /// Declines exactly when no eligible task is idle, which only a launch,
+    /// finish or kill can change.
+    fn decline_holds(&self, _declined_at: Time, _now: Time) -> bool {
+        true
     }
 }
 
@@ -55,6 +61,12 @@ impl SpeculationPolicy for SjfPolicy {
     fn choose(&mut self, view: &JobView) -> Option<Action> {
         pick_unscheduled(view, |a, b| a.tnew.total_cmp(&b.tnew))
     }
+
+    /// Declines exactly when no eligible task is idle, which only a launch,
+    /// finish or kill can change.
+    fn decline_holds(&self, _declined_at: Time, _now: Time) -> bool {
+        true
+    }
 }
 
 /// Longest Job First over unscheduled tasks, no speculation. The classical
@@ -69,6 +81,12 @@ impl SpeculationPolicy for LjfPolicy {
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
         pick_unscheduled(view, |a, b| b.tnew.total_cmp(&a.tnew))
+    }
+
+    /// Declines exactly when no eligible task is idle, which only a launch,
+    /// finish or kill can change.
+    fn decline_holds(&self, _declined_at: Time, _now: Time) -> bool {
+        true
     }
 }
 

@@ -17,7 +17,7 @@
 
 use grass_core::speculation::{choose, SpeculationMode};
 use grass_core::{
-    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView,
+    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView, Time,
 };
 
 /// Per-job oracle policy.
@@ -59,6 +59,15 @@ impl SpeculationPolicy for OraclePolicy {
             SpeculationMode::Gs
         };
         choose(&truth_view, mode)
+    }
+
+    /// A decline holds until the job changes. The mode depends only on the idle
+    /// eligible count and `wave_width`, both fixed while the job is unchanged,
+    /// and GS/RAS declines hold on ground truth by the argument on [`choose`]:
+    /// `tnew` is the fixed `true_new_hint` and `trem` is the true remaining time,
+    /// which only falls.
+    fn decline_holds(&self, _declined_at: Time, _now: Time) -> bool {
+        true
     }
 }
 

@@ -5,7 +5,7 @@ use rand::Rng;
 
 use grass_core::{
     degrade_estimate, AccuracyTracker, Bound, BoxedPolicy, EstimatorConfig, JobOutcome, JobSpec,
-    TaskId, TaskSpec, TaskView, Time,
+    JobView, TaskId, TaskSpec, TaskView, Time,
 };
 
 use crate::event::CopyId;
@@ -228,6 +228,11 @@ pub struct JobRuntime {
     /// except entries launched later, which the next refresh covers because
     /// time only moves forward.
     views_at: Time,
+    /// The job's standing decline: the time and fair share of the last consult,
+    /// if the policy declined it. Every other answer (each launch follows one),
+    /// a copy finish and a kill clear it, because each changes the view the
+    /// policy declined.
+    pub(crate) declined: Option<(Time, usize)>,
 }
 
 impl JobRuntime {
@@ -281,6 +286,7 @@ impl JobRuntime {
             views: Vec::new(),
             running_views: Vec::new(),
             views_at: now,
+            declined: None,
         };
         let mut views = Vec::with_capacity(job.tasks.len());
         job.build_task_views_into(now, estimator, cluster_mean_slowdown, &mut views);
@@ -422,6 +428,44 @@ impl JobRuntime {
         );
     }
 
+    /// Whether an offer at `now` with fair share `fair_share` can be answered
+    /// from the standing decline: one is recorded at the same fair share, and
+    /// the policy says it still holds. Nothing else in the job's view can have
+    /// changed since, because every job-local change clears the decline.
+    pub(crate) fn decline_stands(&self, now: Time, fair_share: usize) -> bool {
+        self.declined
+            .is_some_and(|(at, fair)| fair == fair_share && self.policy.decline_holds(at, now))
+    }
+
+    /// The [`JobView`] of this job at `now` over `views` (the maintained views,
+    /// passed separately so the result borrows them and not the whole job,
+    /// which leaves `policy` free to be called with it).
+    pub(crate) fn job_view<'v>(
+        &self,
+        views: &'v [TaskView],
+        now: Time,
+        fair_share: usize,
+        utilization: f64,
+    ) -> JobView<'v> {
+        JobView {
+            job: self.spec.id,
+            now,
+            arrival: self.spec.arrival,
+            bound: self.spec.bound,
+            input_deadline: self.input_deadline,
+            total_input_tasks: self.spec.input_tasks(),
+            completed_input_tasks: self.completed_input(),
+            total_tasks: self.spec.total_tasks(),
+            completed_tasks: self.completed_total(),
+            tasks: views,
+            wave_width: self
+                .allocated_slots
+                .max(fair_share.min(self.spec.total_tasks())),
+            cluster_utilization: utilization,
+            estimation_accuracy: self.accuracy.accuracy(),
+        }
+    }
+
     /// Drop the maintained views once the job is finalised, so view memory
     /// tracks live jobs only.
     pub(crate) fn release_views(&mut self) {
@@ -508,6 +552,7 @@ impl JobRuntime {
             return;
         }
         let finishing = t.copies.swap_remove(pos);
+        self.declined = None;
         self.slot_seconds += finishing.elapsed(now);
         effect.freed_slots.push(finishing.slot);
         // Kill every sibling copy: the race is over.
@@ -578,6 +623,7 @@ impl JobRuntime {
     /// (task, copy id, freed slot).
     pub fn kill_all_copies(&mut self, now: Time) -> Vec<(TaskId, CopyId, SlotId)> {
         let mut freed = Vec::new();
+        self.declined = None;
         for (idx, t) in self.tasks.iter_mut().enumerate() {
             for c in t.copies.drain(..) {
                 self.slot_seconds += c.elapsed(now);
@@ -915,11 +961,142 @@ mod tests {
             .collect()
     }
 
+    /// The policies whose declines hold until the job changes, however far the
+    /// clock moves.
+    fn policies_holding_until_the_job_changes() -> Vec<BoxedPolicy> {
+        use grass_core::{GsPolicy, RasPolicy};
+        use grass_policies::{LjfPolicy, NoSpecPolicy, OraclePolicy, SjfPolicy};
+        vec![
+            Box::new(GsPolicy),
+            Box::new(RasPolicy),
+            Box::new(OraclePolicy::default()),
+            Box::new(NoSpecPolicy),
+            Box::new(SjfPolicy),
+            Box::new(LjfPolicy),
+        ]
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig {
             cases: 96,
             ..proptest::ProptestConfig::default()
         })]
+
+        /// A decline by GS, RAS, the oracle, NoSpec, SJF or LJF at `t` still
+        /// holds at every later `t'` up to the job's next launch, finish or
+        /// kill, and each of them says so through `decline_holds`. This is what
+        /// lets the simulator answer repeat offers without `choose()`; it fails
+        /// if `trem` can rise while a job is unchanged.
+        #[test]
+        fn declines_hold_until_the_job_changes(
+            seed in proptest::any::<u64>(),
+            deadline in proptest::any::<bool>(),
+            dag in proptest::any::<bool>(),
+            oracle in proptest::any::<bool>(),
+            steps in 1usize..150,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let est = if oracle {
+                EstimatorConfig::oracle()
+            } else {
+                EstimatorConfig::with_accuracy(rng.gen_range(0.3..0.95))
+            };
+            let slowdown = rng.gen_range(0.5..3.0);
+            let fair_share = rng.gen_range(1..8);
+            let spec = random_job(&mut rng, deadline, dag);
+            let mut rt = JobRuntime::new(spec, Box::new(Noop), &est, slowdown, 0.0, &mut rng);
+            let mut policies = policies_holding_until_the_job_changes();
+            let mut declined: Vec<Option<Time>> = vec![None; policies.len()];
+            let mut now = 0.0;
+            let mut next_copy = 0;
+            for _ in 0..steps {
+                if rt.views.is_empty() {
+                    break;
+                }
+                rt.refresh_views(now);
+                let view = rt.job_view(&rt.views, now, fair_share, rng.gen_range(0.0..1.0));
+                for (policy, declined_at) in policies.iter_mut().zip(&mut declined) {
+                    let choice = policy.choose(&view);
+                    if let Some(at) = *declined_at {
+                        prop_assert!(
+                            policy.decline_holds(at, now),
+                            "{} gave up its decline from t = {at} at t = {now}",
+                            policy.name()
+                        );
+                        prop_assert!(
+                            choice.is_none(),
+                            "{} declined at t = {at} but chose {choice:?} at t = {now}",
+                            policy.name()
+                        );
+                    } else if choice.is_none() {
+                        *declined_at = Some(now);
+                    }
+                }
+                let running = running_copies(&rt);
+                let earliest_end = running
+                    .iter()
+                    .map(|&(_, _, end)| end)
+                    .fold(f64::INFINITY, f64::min);
+                let changed = match rng.gen_range(0..10) {
+                    // Launch a first copy of a random task, or a speculative one.
+                    0 | 1 => {
+                        let open: Vec<TaskId> = rt
+                            .tasks
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, t)| {
+                                !t.finished
+                                    && t.copies.len() < 3
+                                    && rt.stage_eligible(t.spec.stage.value() as usize)
+                            })
+                            .map(|(i, _)| TaskId(i as u32))
+                            .collect();
+                        if open.is_empty() {
+                            false
+                        } else {
+                            let task = open[rng.gen_range(0..open.len())];
+                            let duration = rng.gen_range(0.5..8.0);
+                            next_copy += 1;
+                            rt.launch_copy(task, next_copy, slot(0), now, duration, &est, &mut rng);
+                            true
+                        }
+                    }
+                    // Finish the earliest-ending copy at its end time.
+                    2 => match running.iter().min_by(|a, b| a.2.total_cmp(&b.2)) {
+                        Some(&(task, copy, end)) => {
+                            now = f64::max(now, end);
+                            rt.complete_copy(task, copy, now);
+                            true
+                        }
+                        None => false,
+                    },
+                    3 => {
+                        if rng.gen_bool(0.1) {
+                            rt.kill_all_copies(now);
+                            true
+                        } else {
+                            false
+                        }
+                    }
+                    // Step the clock to the next copy's end, where its
+                    // remaining time reaches zero, but not past it: its finish
+                    // is the next event.
+                    4 => {
+                        if earliest_end.is_finite() {
+                            now = f64::max(now, earliest_end);
+                        }
+                        false
+                    }
+                    _ => {
+                        now = f64::min(now + rng.gen_range(0.0..3.0), f64::max(now, earliest_end));
+                        false
+                    }
+                };
+                if changed {
+                    declined.iter_mut().for_each(|d| *d = None);
+                }
+            }
+        }
 
         /// The maintained views equal a full rebuild after every launch,
         /// speculative launch, copy finish (with sibling kills and stage

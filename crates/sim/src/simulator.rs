@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use grass_core::{
-    ActionKind, Bound, EstimatorConfig, JobId, JobOutcome, JobSpec, JobView, PolicyFactory, Time,
+    ActionKind, Bound, EstimatorConfig, JobId, JobOutcome, JobSpec, PolicyFactory, Time,
 };
 
 use crate::cluster::ClusterConfig;
@@ -88,8 +88,13 @@ pub struct SimStats {
     /// count is fixed by the bit-exact float contract and identical across
     /// engines — the refactor changes *when* updates run, not how many.
     pub job_touches: u64,
-    /// Policy `choose()` consultations (successful or declined).
+    /// Slot offers made to a job's policy, successful or declined: `choose()`
+    /// calls plus the offers answered from a standing decline.
     pub policy_consultations: u64,
+    /// Offers answered from the job's standing decline without calling
+    /// `choose()`; included in `policy_consultations`. See
+    /// [`decline_holds`](grass_core::SpeculationPolicy::decline_holds).
+    pub reused_declines: u64,
 }
 
 /// Aggregate result of one simulation run.
@@ -143,7 +148,7 @@ pub fn run_simulation_traced(
 
 /// The indexed discrete-event engine.
 ///
-/// Four structures keep per-event work proportional to the *affected* state
+/// Five structures keep per-event work proportional to the *affected* state
 /// rather than to every live job or task (the pre-refactor engine, preserved
 /// verbatim in [`crate::reference`], rescanned all of them per event):
 ///
@@ -176,6 +181,14 @@ pub fn run_simulation_traced(
 ///   refreshed at this `now`. Debug builds check every consult against a full
 ///   rebuild. Finalisation drops a job's views, so their memory tracks live
 ///   jobs only.
+/// * per-job standing declines — when a job's policy declines an offer, the
+///   job records the time and the fair share. A later offer is answered with
+///   the same `None`, without the catch-up, the view refresh or `choose()`,
+///   while the fair share is the same, no copy of the job has launched,
+///   finished or been killed since, and the policy's
+///   [`decline_holds`](grass_core::SpeculationPolicy::decline_holds) says the decline
+///   still holds. Such offers still count as job touches and consultations.
+///   Debug builds consult the policy anyway and check that it declines.
 struct Simulator<'a> {
     config: SimConfig,
     factory: &'a dyn PolicyFactory,
@@ -386,8 +399,7 @@ impl<'a> Simulator<'a> {
 
         // Let the policy observe the job's initial state.
         runtime.refresh_views(self.now);
-        let view = Self::job_view(
-            &runtime,
+        let view = runtime.job_view(
             &runtime.views,
             self.now,
             self.fair_share(),
@@ -477,7 +489,7 @@ impl<'a> Simulator<'a> {
 
         if effect.task_completed {
             job.refresh_views(self.now);
-            let view = Self::job_view(job, &job.views, self.now, fair, util);
+            let view = job.job_view(&job.views, self.now, fair, util);
             job.policy.on_task_complete(&view, task);
         }
 
@@ -536,32 +548,6 @@ impl<'a> Simulator<'a> {
         self.util_stat.update(self.now, self.utilization());
     }
 
-    fn job_view<'v>(
-        job: &JobRuntime,
-        views: &'v [grass_core::TaskView],
-        now: Time,
-        fair_share: usize,
-        utilization: f64,
-    ) -> JobView<'v> {
-        JobView {
-            job: job.spec.id,
-            now,
-            arrival: job.spec.arrival,
-            bound: job.spec.bound,
-            input_deadline: job.input_deadline,
-            total_input_tasks: job.spec.input_tasks(),
-            completed_input_tasks: job.completed_input(),
-            total_tasks: job.spec.total_tasks(),
-            completed_tasks: job.completed_total(),
-            tasks: views,
-            wave_width: job
-                .allocated_slots
-                .max(fair_share.min(job.spec.total_tasks())),
-            cluster_utilization: utilization,
-            estimation_accuracy: job.accuracy.accuracy(),
-        }
-    }
-
     /// Hand out free slots: repeatedly offer the next free slot to the active job with
     /// the fewest allocated slots (max–min fair sharing without preemption) until no
     /// job wants a slot or no slots remain.
@@ -618,16 +604,36 @@ impl<'a> Simulator<'a> {
         let Some(job) = self.running.get_mut(&job_id) else {
             return false;
         };
-        // A launch mutates `allocated_slots`; pending settle entries must be
-        // folded in against the pre-launch value first.
-        Self::catch_up_job(&self.timeline, self.timeline_base, job);
         if job.views.is_empty() {
             return false;
         }
-        job.refresh_views(self.now);
-        let view = Self::job_view(job, &job.views, self.now, fair_share, utilization);
         self.stats.policy_consultations += 1;
-        let Some(action) = job.policy.choose(&view) else {
+        if job.decline_stands(self.now, fair_share) {
+            self.stats.reused_declines += 1;
+            if cfg!(debug_assertions) {
+                // The oracle: a full consult must decline too. Within the
+                // standing-decline contract it changes no policy state.
+                job.refresh_views(self.now);
+                let view = job.job_view(&job.views, self.now, fair_share, utilization);
+                let choice = job.policy.choose(&view);
+                debug_assert!(
+                    choice.is_none(),
+                    "{} broke its standing decline for job {} at t = {}: {choice:?}",
+                    job.policy.name(),
+                    job_id.0,
+                    self.now
+                );
+            }
+            return false;
+        }
+        // A launch mutates `allocated_slots`; pending settle entries must be
+        // folded in against the pre-launch value first.
+        Self::catch_up_job(&self.timeline, self.timeline_base, job);
+        job.refresh_views(self.now);
+        let view = job.job_view(&job.views, self.now, fair_share, utilization);
+        let choice = job.policy.choose(&view);
+        job.declined = choice.is_none().then_some((self.now, fair_share));
+        let Some(action) = choice else {
             return false;
         };
 
@@ -861,6 +867,106 @@ mod tests {
             assert!(e.time() >= last - 1e-12, "events out of order");
             last = e.time();
         }
+    }
+
+    #[test]
+    fn policies_without_the_hook_are_consulted_on_every_offer() {
+        use grass_core::policy::FnFactory;
+        use grass_core::{Action, BoxedPolicy, GsPolicy, JobView, SpeculationPolicy};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        /// GS behind a wrapper that counts `choose()` calls and keeps the
+        /// default `decline_holds`.
+        struct Counting {
+            calls: Arc<AtomicU64>,
+        }
+        impl SpeculationPolicy for Counting {
+            fn name(&self) -> &str {
+                "GS"
+            }
+            fn choose(&mut self, view: &JobView) -> Option<Action> {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                GsPolicy.choose(view)
+            }
+        }
+
+        let calls = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&calls);
+        let counting = FnFactory::new("GS", move |_job: &JobSpec| {
+            Box::new(Counting {
+                calls: Arc::clone(&counter),
+            }) as BoxedPolicy
+        });
+        // More slots than tasks, so jobs decline offers again and again.
+        let mut config = small_config(12);
+        config.cluster = ClusterConfig::small(5, 4);
+        let jobs: Vec<JobSpec> = (0..6)
+            .map(|i| exact_job(i, i as f64 * 0.5, 4, 3.0))
+            .collect();
+        let consulted = run_simulation(&config, jobs.clone(), &counting);
+        assert_eq!(consulted.stats.reused_declines, 0);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            consulted.stats.policy_consultations
+        );
+
+        // Plain GS answers repeat offers from its standing declines, with the
+        // same outcomes and the same offer count.
+        let reused = run_simulation(&config, jobs, &GsFactory);
+        assert!(reused.stats.reused_declines > 0);
+        assert_eq!(
+            reused.stats.policy_consultations,
+            consulted.stats.policy_consultations
+        );
+        assert_eq!(reused.stats.job_touches, consulted.stats.job_touches);
+        assert_eq!(reused.outcomes, consulted.outcomes);
+    }
+
+    #[test]
+    fn a_fair_share_change_ends_a_standing_decline() {
+        use grass_core::policy::FnFactory;
+        use grass_core::{Action, BoxedPolicy, GsPolicy, JobView, SpeculationPolicy, Time};
+
+        /// Launches idle tasks only while its wave width is at most 2. Only a
+        /// change of the job or of its wave width can change that answer, so
+        /// its declines hold under the contract.
+        struct Polite;
+        impl SpeculationPolicy for Polite {
+            fn name(&self) -> &str {
+                "polite"
+            }
+            fn choose(&mut self, view: &JobView) -> Option<Action> {
+                if view.wave_width > 2 {
+                    return None;
+                }
+                view.eligible_tasks()
+                    .find(|t| !t.is_running())
+                    .map(|t| Action::launch(t.id))
+            }
+            fn decline_holds(&self, _declined_at: Time, _now: Time) -> bool {
+                true
+            }
+        }
+
+        let factory = FnFactory::new("polite", |job: &JobSpec| {
+            if job.id == JobId(1) {
+                Box::new(Polite) as BoxedPolicy
+            } else {
+                Box::new(GsPolicy) as BoxedPolicy
+            }
+        });
+        let mut config = small_config(13);
+        config.cluster = ClusterConfig::small(1, 4);
+        // Alone on 4 slots, job 1's wave width is 3 and it declines. Job 2's
+        // arrival halves the fair share, and with it job 1's wave width, while
+        // nothing in job 1 changes: its next offer must be a real consult.
+        let jobs = vec![exact_job(1, 0.0, 3, 1.0), exact_job(2, 1.0, 1, 50.0)];
+        let live = run_simulation(&config, jobs.clone(), &factory);
+        let reference = crate::reference::run_reference(&config, jobs, &factory);
+        assert_eq!(live.outcomes, reference.outcomes);
+        let polite = live.outcomes_for("polite").next().expect("job 1 ran");
+        assert_eq!(polite.completed_input_tasks, 3);
     }
 
     #[test]

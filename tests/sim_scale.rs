@@ -130,11 +130,13 @@ fn ten_k_machines_ten_k_jobs_run_in_affected_state_work_and_bounded_resources() 
         scale.machines, scale.slots, result.makespan
     );
     eprintln!(
-        "# work: {} events, {} job touches ({:.2}/event), {} policy consultations",
+        "# work: {} events, {} job touches ({:.2}/event), {} policy consultations \
+         ({} answered from a standing decline)",
         stats.events_processed,
         stats.job_touches,
         stats.job_touches as f64 / stats.events_processed.max(1) as f64,
         stats.policy_consultations,
+        stats.reused_declines,
     );
 
     assert_eq!(result.outcomes.len(), scale.jobs);
